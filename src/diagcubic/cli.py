@@ -13,8 +13,9 @@ Fields are selected with --p/--k plus optional --modulus/--generator overrides
 (zero|c0|c1|c2) or concrete elements in the same coefficient syntax.
 
 Output is deterministic JSON ({"query": ..., "result": ..., "warnings": [...]})
-or TSV.  Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 integrity error; errors are emitted as JSON objects.
+or TSV.  Exit codes: 0 success, 1 verification failure, 2 validation or
+resource error (counts longer than the output cap), 3 integrity error; errors
+are emitted as JSON objects.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ from . import verify as verify_mod
 from .constants import THETA_SOURCES, CubicData, cubic_data
 from .counting import bijective_count, count_diagonal, count_twisted, diagonal_series, twisted_series
 from .errors import DomainError, IntegrityError, ResourceError
-from .fields import CubicClass, FieldDescriptor, make_field, parse_element
+from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor, make_field, parse_element
+
+#: Largest count the CLI prints, in decimal digits.  A request whose counts
+#: could be longer is refused with a resource error before any counting.
+_MAX_OUTPUT_DIGITS = 100_000
 
 _CLASS_KEYWORDS = {
     "zero": CubicClass.ZERO,
@@ -110,6 +115,17 @@ def _field_query(args, field: FieldDescriptor) -> dict:
     return {"command": args.command, "field": field.to_string()}
 
 
+def _check_output_digits(q: int, s: int) -> None:
+    """Refuse counts of up to s variables that could exceed the output cap:
+    such a count is at most q^s, which has at most s * digits(q) digits."""
+    bound = s * len(str(q))
+    if bound > _MAX_OUTPUT_DIGITS:
+        raise ResourceError(
+            f"counts with s = {s} over F_{q} may have up to {bound} digits, "
+            f"above the output cap of {_MAX_OUTPUT_DIGITS}"
+        )
+
+
 def _data_warnings(data: CubicData) -> list[dict]:
     if data.theta != data.theta_paper:
         return [{
@@ -127,7 +143,7 @@ def _resolve_target(field: FieldDescriptor, text: str) -> tuple[CubicClass, str,
     keyword = text.strip().lower()
     if keyword in _CLASS_KEYWORDS:
         cls = _CLASS_KEYWORDS[keyword]
-        if cls in (CubicClass.C1, CubicClass.C2) and field.q % 3 != 1:
+        if cls in NONCUBIC_CLASSES and field.q % 3 != 1:
             raise DomainError(f"classes c1/c2 are undefined for q = {field.q} = 2 (mod 3)")
         return cls, keyword, {}
     z = parse_element(field, text)
@@ -155,6 +171,7 @@ def _run_count(args) -> tuple[dict, int]:
     field = _resolve_field(args)
     if (args.z is None) == (args.y is None):
         raise DomainError("give exactly one of --z (plain target) or --y (twisted coefficient)")
+    _check_output_digits(field.q, args.s)
     warnings: list[dict] = []
     if args.y is not None:
         if field.q % 3 != 1:
@@ -189,6 +206,7 @@ def _run_series(args) -> tuple[dict, int]:
         raise DomainError("give exactly one of --z or --y")
     if field.q % 3 != 1:
         raise DomainError(f"series require q = 1 (mod 3); q = {field.q} counts are q^(s-1) throughout")
+    _check_output_digits(field.q, args.n_terms + 1)
     data = cubic_data(field)
     warnings = _data_warnings(data)
     if args.y is not None:
@@ -243,6 +261,11 @@ def _tsv_lines(result: dict) -> list[str]:
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    # Python >= 3.11 converts at most 4300 digits by default (0 means no limit);
+    # every count under the output cap prints exactly
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < _MAX_OUTPUT_DIGITS:
+        sys.set_int_max_str_digits(_MAX_OUTPUT_DIGITS)
     if fmt == "tsv":
         print("\n".join(_tsv_lines(payload["result"])))
     else:

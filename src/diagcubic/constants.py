@@ -15,6 +15,11 @@ Gauss sum divided by q, which lives in Z[w]:
 
 and, writing M = A + B*w: c = 2A - B, d = |B| / 3, theta = sgn(B).
 
+Every constant is computed once per field, in :func:`cubic_data`.  The
+production route is the one Jacobi sum J: it gives M, M gives (c, d) and
+theta, and J gives the r-pair.  The Diophantine search :func:`cd_search` is
+the independent witness for (c, d); the two routes must agree exactly.
+
 A second prediction of theta ("theta_paper", the published parity rule) is
 computed independently: 0 for even k, and the sign of Im((r1+3*sqrt(3)*r2*i)^k)
 for odd k.  The two rules agree for odd k but disagree when p = 1 (mod 3) and
@@ -82,30 +87,11 @@ def cd_search(q: int, p: int) -> tuple[int, int]:
 
 
 def theta_exact(field: FieldDescriptor) -> tuple[int, EisensteinInt]:
-    """theta and M = G^3/q from exact Eisenstein arithmetic.
-
-    For p = 1 (mod 3): M = (-1)^(k-1) * J^k with J the cubic Jacobi sum over
-    F_p built from the induced prime-field generator norm(g); the (c, d) read
-    off M must reproduce cd_search exactly.  For p = 2 (mod 3) there is no
-    cubic character of F_p; then d = 0 is forced, theta = 0, and M is the
-    rational integer c/2 (c is even in this case).
-    """
-    q, p, k = field.q, field.p, field.k
-    c, d = cd_search(q, p)
-    if p % 3 == 1:
-        j_sum = jacobi_sum_cubic(p, field.g.norm())
-        m = j_sum ** k
-        if k % 2 == 0:
-            m = -m
-        if m.real_doubled() != c or abs(m.b) != 3 * d:
-            raise IntegrityError(
-                f"exact Gauss-cube path gives (c, d) = ({m.real_doubled()}, {abs(m.b) // 3}) "
-                f"but the Diophantine search gives ({c}, {d}) for q = {q}"
-            )
-        return m.imag_sign(), m
-    if c % 2 != 0:
-        raise IntegrityError(f"c = {c} odd with d = {d} for square q = {q}")
-    return 0, EisensteinInt(c // 2, 0)
+    """theta and M = G^3/q from exact Eisenstein arithmetic: a view of
+    :func:`cubic_data`, which computes both once and checks them against the
+    Diophantine witness."""
+    data = cubic_data(field)
+    return data.theta, data.gauss_cubed_over_q
 
 
 def theta_sign_rule(k: int, r1: int, r2: int) -> int:
@@ -137,23 +123,37 @@ def delta(data: CubicData, cls: CubicClass, theta_source: str = "exact") -> int:
 def cubic_data(field: FieldDescriptor) -> CubicData:
     """Assemble every constant for one field, cross-checking all invariants.
 
-    The r-pair is populated exactly when p = 1 (mod 3), built from the
-    prime-field generator induced by norm(g) so that class labels, theta and
-    the r2 sign are mutually consistent.
+    Production route: for p = 1 (mod 3) one Jacobi sum J over F_p, taken with
+    the prime-field generator norm(g) so that class labels, theta and the r2
+    sign agree, gives M = (-1)^(k-1) * J^k and the r-pair; M gives c, d and
+    theta.  For p = 2 (mod 3) there is no cubic character of F_p: d = 0,
+    theta = 0 and M = c/2.  Witness: cd_search, whose (c, d) must equal the
+    pair read off M.
     """
     q, p, k = field.q, field.p, field.k
     if q % 3 != 1:
         raise DomainError(f"q = {q} = 2 (mod 3): the counting constants are not defined")
     c, d = cd_search(q, p)
-    theta, m = theta_exact(field)
 
     if p % 3 == 1:
-        pair = r_pair(jacobi_sum_cubic(p, field.g.norm()), p)
-        r1, r2 = pair.r1, pair.r2
+        j_sum = jacobi_sum_cubic(p, field.g.norm())
+        m = j_sum ** k
+        if k % 2 == 0:
+            m = -m
+        if m.real_doubled() != c or abs(m.b) != 3 * d:
+            raise IntegrityError(
+                f"exact Gauss-cube path gives (c, d) = ({m.real_doubled()}, {abs(m.b) // 3}) "
+                f"but the Diophantine search gives ({c}, {d}) for q = {q}"
+            )
+        r1, r2 = r_pair(j_sum, p)
+        theta = m.imag_sign()
         theta_paper = theta_sign_rule(k, r1, r2)
     else:
+        if c % 2 != 0:
+            raise IntegrityError(f"c = {c} odd with d = {d} for square q = {q}")
+        m = EisensteinInt(c // 2, 0)
         r1 = r2 = None
-        theta_paper = 0  # k is even here, since q = 1 (mod 3) with p = 2 (mod 3)
+        theta = theta_paper = 0  # k is even here, since q = 1 (mod 3) with p = 2 (mod 3)
 
     data = CubicData(
         q=q, p=p, k=k, c=c, d=d, r1=r1, r2=r2,

@@ -36,9 +36,7 @@ from typing import Iterator
 
 from .constants import CubicData, cd_search, delta
 from .errors import DomainError, IntegrityError
-from .fields import CubicClass, FieldDescriptor
-
-_NONCUBIC = (CubicClass.C1, CubicClass.C2)
+from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ def excess_seeds(data: CubicData, cls: CubicClass, theta_source: str = "exact") 
     c, d, q = data.c, data.d, data.q
     if cls is CubicClass.C0:
         return 2, c - 2, 6 * q - c
-    if cls in _NONCUBIC:
+    if cls in NONCUBIC_CLASSES:
         numerator = -4 - c - 9 * d * delta(data, cls, theta_source)
         if numerator % 2 != 0:
             raise IntegrityError(
@@ -93,8 +91,11 @@ def excess_at(data: CubicData, cls: CubicClass, s: int, theta_source: str = "exa
     return _value_at(excess_seeds(data, cls, theta_source), data.q, data.c, s)
 
 
-def _zero_seeds(data: CubicData) -> tuple[int, int, int]:
-    return 0, 2 * (data.q - 1), data.c * (data.q - 1)
+def _seeds(data: CubicData, target: CubicClass, theta_source: str) -> tuple[int, int, int]:
+    """Seeds of u_s = N_s - q^(s-1) for any target class, zero included."""
+    if target is CubicClass.ZERO:
+        return 0, 2 * (data.q - 1), data.c * (data.q - 1)
+    return excess_seeds(data, target, theta_source)
 
 
 def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: str = "exact") -> int:
@@ -107,11 +108,7 @@ def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: st
         raise DomainError("s must be nonnegative")
     if s == 0:
         return 1 if target is CubicClass.ZERO else 0
-    if target is CubicClass.ZERO:
-        seeds = _zero_seeds(data)
-    else:
-        seeds = excess_seeds(data, target, theta_source)
-    value = data.q ** (s - 1) + _value_at(seeds, data.q, data.c, s)
+    value = data.q ** (s - 1) + _value_at(_seeds(data, target, theta_source), data.q, data.c, s)
     if value < 0:
         raise IntegrityError(f"negative count {value} for s = {s}, target {target}")
     return value
@@ -132,7 +129,7 @@ def bijective_count(q: int, s: int, zero_target: bool) -> int:
 def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str = "exact") -> int:
     """T_s for non-cubic y of the given class, via
     T_s(y) = N_{s-1}(0) + (q-1) * N_{s-1}(y)."""
-    if y_cls not in _NONCUBIC:
+    if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if s < 2:
         raise DomainError("twisted counts need at least two variables")
@@ -143,7 +140,7 @@ def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str 
 
 def twisted3_closed(data: CubicData, y_cls: CubicClass, theta_source: str = "exact") -> int:
     """T_3 in closed form: q^2 + (q-1) * (-c - 9 * delta_y * d) / 2, exact."""
-    if y_cls not in _NONCUBIC:
+    if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     numerator = (data.q - 1) * (-data.c - 9 * delta(data, y_cls, theta_source) * data.d)
     if numerator % 2 != 0:
@@ -156,11 +153,7 @@ def diagonal_series(data: CubicData, target: CubicClass, n: int, theta_source: s
     generated by the integer recurrence (never by power-series division)."""
     if n < 1:
         raise DomainError("need at least one coefficient")
-    if target is CubicClass.ZERO:
-        seeds = _zero_seeds(data)
-    else:
-        seeds = excess_seeds(data, target, theta_source)
-    stream = _recurrence(seeds, data.q, data.c)
+    stream = _recurrence(_seeds(data, target, theta_source), data.q, data.c)
     coeffs = tuple(data.q ** s_idx + next(stream) for s_idx in range(n))
     return SeriesWindow(target=target, coefficients=coeffs, constants=data)
 
@@ -168,7 +161,7 @@ def diagonal_series(data: CubicData, target: CubicClass, n: int, theta_source: s
 def twisted_series(data: CubicData, y_cls: CubicClass, n: int, theta_source: str = "exact") -> tuple[int, ...]:
     """(T_2, ..., T_{n+1}) for non-cubic y, from the twisted generating
     function itself -- an independent route from :func:`count_twisted`."""
-    if y_cls not in _NONCUBIC:
+    if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if n < 1:
         raise DomainError("need at least one coefficient")
@@ -197,7 +190,7 @@ def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
     p = field.p
     if p % 3 != 1:
         raise DomainError(f"p = {p} = 2 (mod 3): no non-cubic elements")
-    if y_cls not in _NONCUBIC:
+    if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"y must be non-cubic, got {y_cls}")
     two = field.element([2])
     cls_two = field.cube_class(two)

@@ -430,12 +430,9 @@ def make_field(
     generator: Sequence[int] | None = None,
 ) -> FieldDescriptor:
     """Construct F_{p^k} with canonical (or explicitly given) modulus and generator."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if k < 1:
-        raise DomainError("extension degree must be positive")
     if modulus is None:
-        modulus = (0, 1) if k == 1 else find_irreducible(p, k)
+        # k < 1 and a composite p are rejected by the constructor or find_irreducible
+        modulus = (0, 1) if k <= 1 else find_irreducible(p, k)
     return FieldDescriptor(p, k, tuple(modulus), tuple(generator) if generator is not None else None)
 
 

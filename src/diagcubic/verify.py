@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from . import counting, oracle
 from .constants import cubic_data, delta
 from .eisenstein import jacobi_sum_cubic, r_pair
-from .fields import CubicClass, FieldDescriptor, make_field
+from .fields import NONCUBIC_CLASSES, NONZERO_CLASSES, CubicClass, FieldDescriptor, make_field
 from .ntheory import prime_factors, primes_up_to
 
 #: q -> (p, k) for every field the closed forms are validated on.
@@ -131,8 +131,7 @@ def check_oracle_equivalence() -> list[Check]:
         mismatches = []
         compared = 0
         exhaustive = q <= 31
-        reps = {cls: field.representative(cls) for cls in
-                (CubicClass.C0, CubicClass.C1, CubicClass.C2)}
+        reps = {cls: field.representative(cls) for cls in NONZERO_CLASSES}
         for s in range(1, _max_s(q) + 1):
             vector = oracle.diagonal_count_vector(field, s)
             targets = field.elements() if exhaustive else [field.zero, *reps.values()]
@@ -145,7 +144,7 @@ def check_oracle_equivalence() -> list[Check]:
         for s in range(2, _max_s(q) + 1):
             if exhaustive:
                 ys = [z for z in field.nonzero_elements()
-                      if field.cube_class(z) in (CubicClass.C1, CubicClass.C2)]
+                      if field.cube_class(z) in NONCUBIC_CLASSES]
             else:
                 ys = [reps[CubicClass.C1], reps[CubicClass.C2]]
             for y in ys:
@@ -164,7 +163,7 @@ def check_oracle_equivalence() -> list[Check]:
         stream_ok = all(
             counting.twisted_series(data, cls, 5)
             == tuple(counting.count_twisted(data, s, cls) for s in range(2, 7))
-            for cls in (CubicClass.C1, CubicClass.C2)
+            for cls in NONCUBIC_CLASSES
         )
         checks.append(_check(
             f"twisted-series-consistency/q={q}", stream_ok,
@@ -310,7 +309,7 @@ def check_mod4_sign_rule(prime_bound: int = MOD4_PRIME_BOUND) -> list[Check]:
             continue  # the rule is stated only for 2 non-cubic
         applicable.append(p)
         data = cubic_data(field)
-        for cls in (CubicClass.C1, CubicClass.C2):
+        for cls in NONCUBIC_CLASSES:
             signed = counting.signed_d_mod4(field, cls)
             if signed != -delta(data, cls) * data.d:
                 failures.append((p, str(cls), "sign", signed, -delta(data, cls) * data.d))
@@ -341,7 +340,7 @@ def check_even_degree_adjudication() -> list[Check]:
     data = cubic_data(field)
     checks.append(_check("even-degree/theta-nonzero", data.theta != 0, data.theta, "nonzero"))
     vector = oracle.diagonal_count_vector(field, 2)
-    for cls in (CubicClass.C1, CubicClass.C2):
+    for cls in NONCUBIC_CLASSES:
         rep = field.representative(cls)
         brute = vector[int(rep)]
         closed = counting.count_diagonal(data, 2, cls)

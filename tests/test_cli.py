@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from diagcubic import cli, verify
+from diagcubic import CubicClass, cli, count_diagonal, cubic_data, make_field, verify
 
 
 def run_cli(capsys, *argv):
@@ -198,3 +198,55 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["value"] == 19
+
+
+class TestOutputCap:
+    """Counts print exactly up to the output cap and are refused above it."""
+
+    @staticmethod
+    def _exact(value: int) -> str:
+        # the test process keeps the interpreter's default int-to-str limit
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            return str(value)
+        old = sys.get_int_max_str_digits()
+        set_limit(0)
+        try:
+            return str(value)
+        finally:
+            set_limit(old)
+
+    def test_count_beyond_default_int_limit(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagcubic", "count", "--p", "31", "--s", "3000", "--z", "c1"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        expected = count_diagonal(cubic_data(make_field(31)), 3000, CubicClass.C1)
+        assert len(self._exact(expected)) > 4300
+        assert f'"value": {self._exact(expected)}}}' in proc.stdout
+
+    def test_tsv_and_series_beyond_default_int_limit(self, capsys):
+        data = cubic_data(make_field(31))
+        code, out = run_cli(capsys, "count", "--p", "31", "--s", "3000", "--z", "c1", "--format", "tsv")
+        assert code == 0
+        assert f"value\t{self._exact(count_diagonal(data, 3000, CubicClass.C1))}" in out.splitlines()
+        code, out = run_cli(capsys, "series", "--p", "31", "--z", "c1", "--n-terms", "3000", "--format", "tsv")
+        assert code == 0
+        assert out.splitlines()[-1] == f"3000\t{self._exact(count_diagonal(data, 3000, CubicClass.C1))}"
+
+    def test_cap_boundary(self, capsys):
+        # q = 2 has one digit, so s = cap is the largest count allowed
+        cap = cli._MAX_OUTPUT_DIGITS
+        code, out = run_cli(capsys, "count", "--p", "2", "--s", str(cap), "--z", "1", "--format", "tsv")
+        assert code == 0
+        assert f"value\t{self._exact(2 ** (cap - 1))}" in out.splitlines()
+        for argv in (
+            ["count", "--p", "2", "--s", str(cap + 1), "--z", "1"],
+            ["count", "--p", "31", "--s", str(cap // 2 + 1), "--y", "c1"],
+            ["series", "--p", "7", "--z", "zero", "--n-terms", str(cap)],
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2
+            assert out.count("\n") == 1
+            assert json.loads(out)["error"]["type"] == "resource"

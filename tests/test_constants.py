@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from diagcubic import (
@@ -6,12 +8,14 @@ from diagcubic import (
     EisensteinInt,
     IntegrityError,
     cd_search,
+    count_diagonal,
     cubic_data,
     delta,
     make_field,
     theta_exact,
     theta_sign_rule,
 )
+from diagcubic import constants as constants_module
 from diagcubic.verify import SUPPORTED_FIELDS
 
 # independently enumerated representations 4q = c^2 + 27 d^2 (see cd_search
@@ -168,3 +172,42 @@ class TestCubicData:
             assert data.theta == data.theta_paper
         if p % 3 == 1 and k % 2 == 0:
             assert data.theta != 0 and data.theta_paper == 0
+
+
+class TestOneComputationPerCall:
+    @pytest.mark.parametrize("p, k", [(31, 1), (7, 2), (13, 4), (2, 2), (2, 6)])
+    def test_cubic_data_computes_each_route_once(self, monkeypatch, p, k):
+        field = make_field(p, k)
+        calls = {"cd_search": 0, "jacobi_sum_cubic": 0}
+
+        def counted(name):
+            original = getattr(constants_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(constants_module, name, wrapper)
+
+        counted("cd_search")
+        counted("jacobi_sum_cubic")
+        cubic_data(field)
+        assert calls == {"cd_search": 1, "jacobi_sum_cubic": 1 if p % 3 == 1 else 0}
+
+
+class TestGeneratorCoset:
+    """A generator g^e with e = 2 (mod 3) swaps the classes C1 and C2."""
+
+    @pytest.mark.parametrize("q", [q for q, (p, _) in sorted(SUPPORTED_FIELDS.items()) if p % 3 == 1])
+    def test_other_coset_conjugates_constants(self, q):
+        p, k = SUPPORTED_FIELDS[q]
+        field = make_field(p, k)
+        e = next(e for e in range(2, q, 3) if gcd(e, q - 1) == 1)
+        other = make_field(p, k, field.modulus, (field.g ** e).coeffs)
+        assert field.cube_class(other.g) is CubicClass.C2
+        data, swapped = cubic_data(field), cubic_data(other)
+        assert swapped.theta == -data.theta != 0
+        assert swapped.gauss_cubed_over_q == data.gauss_cubed_over_q.conjugate()
+        for s in range(1, 5):
+            assert count_diagonal(swapped, s, CubicClass.C1) == count_diagonal(data, s, CubicClass.C2)
+            assert count_diagonal(swapped, s, CubicClass.C2) == count_diagonal(data, s, CubicClass.C1)

@@ -14,8 +14,9 @@ Fields are selected with --p/--k plus optional --modulus/--generator overrides
 
 Output is deterministic JSON ({"query": ..., "result": ..., "warnings": [...]})
 or TSV.  Exit codes: 0 success, 1 verification failure, 2 validation or
-resource error (counts longer than the output cap), 3 integrity error; errors
-are emitted as JSON objects.
+resource error (counts longer than the output cap, a series window longer
+than the total cap), 3 integrity or internal error; errors are emitted as
+JSON objects.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor, make_field, p
 #: Largest count the CLI prints, in decimal digits.  A request whose counts
 #: could be longer is refused with a resource error before any counting.
 _MAX_OUTPUT_DIGITS = 100_000
+
+#: Largest series window the CLI prints, in decimal digits of all its counts.
+_MAX_SERIES_DIGITS = 10_000_000
 
 _CLASS_KEYWORDS = {
     "zero": CubicClass.ZERO,
@@ -126,6 +130,19 @@ def _check_output_digits(q: int, s: int) -> None:
         )
 
 
+def _check_series_digits(q: int, n_terms: int) -> None:
+    """Refuse a window of counts with up to s = 1..n_terms+1 variables whose
+    digits, at most sum of s * digits(q), could exceed the total cap."""
+    s_max = n_terms + 1
+    _check_output_digits(q, s_max)
+    bound = len(str(q)) * s_max * (s_max + 1) // 2 if s_max > 0 else 0
+    if bound > _MAX_SERIES_DIGITS:
+        raise ResourceError(
+            f"a series of {n_terms} terms over F_{q} may print up to {bound} digits, "
+            f"above the total cap of {_MAX_SERIES_DIGITS}"
+        )
+
+
 def _data_warnings(data: CubicData) -> list[dict]:
     if data.theta != data.theta_paper:
         return [{
@@ -206,7 +223,7 @@ def _run_series(args) -> tuple[dict, int]:
         raise DomainError("give exactly one of --z or --y")
     if field.q % 3 != 1:
         raise DomainError(f"series require q = 1 (mod 3); q = {field.q} counts are q^(s-1) throughout")
-    _check_output_digits(field.q, args.n_terms + 1)
+    _check_series_digits(field.q, args.n_terms)
     data = cubic_data(field)
     warnings = _data_warnings(data)
     if args.y is not None:
@@ -272,22 +289,29 @@ def _emit(payload: dict, fmt: str) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+def _error(kind: str, message: str) -> None:
+    print(json.dumps({"error": {"type": kind, "message": message}}, sort_keys=True))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         payload, code = _HANDLERS[args.command](args)
+        _emit(payload, args.format)
+        return code
     except DomainError as exc:
-        print(json.dumps({"error": {"type": "validation", "message": str(exc)}}, sort_keys=True))
+        _error("validation", str(exc))
         return 2
     except ResourceError as exc:
-        print(json.dumps({"error": {"type": "resource", "message": str(exc)}}, sort_keys=True))
+        _error("resource", str(exc))
         return 2
     except IntegrityError as exc:
-        print(json.dumps({"error": {"type": "integrity", "message": str(exc)}}, sort_keys=True))
+        _error("integrity", str(exc))
         return 3
-    _emit(payload, args.format)
-    return code
+    except Exception as exc:  # anything else is a bug: one JSON error, never a traceback
+        _error("internal", f"{type(exc).__name__}: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

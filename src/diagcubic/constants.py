@@ -128,15 +128,16 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
     sign agree, gives M = (-1)^(k-1) * J^k and the r-pair; M gives c, d and
     theta.  For p = 2 (mod 3) there is no cubic character of F_p: d = 0,
     theta = 0 and M = c/2.  Witness: cd_search, whose (c, d) must equal the
-    pair read off M.
+    pair read off M.  J is computed first, so a p above the direct sum's cap
+    is refused with a ResourceError before the O(sqrt q) witness runs.
     """
     q, p, k = field.q, field.p, field.k
     if q % 3 != 1:
         raise DomainError(f"q = {q} = 2 (mod 3): the counting constants are not defined")
-    c, d = cd_search(q, p)
-
     if p % 3 == 1:
+        # J before the O(sqrt q) witness, so that a p above J's cap is refused at once
         j_sum = jacobi_sum_cubic(p, field.g.norm())
+        c, d = cd_search(q, p)
         m = j_sum ** k
         if k % 2 == 0:
             m = -m
@@ -149,6 +150,7 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
         theta = m.imag_sign()
         theta_paper = theta_sign_rule(k, r1, r2)
     else:
+        c, d = cd_search(q, p)
         if c % 2 != 0:
             raise IntegrityError(f"c = {c} odd with d = {d} for square q = {q}")
         m = EisensteinInt(c // 2, 0)

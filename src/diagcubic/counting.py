@@ -21,6 +21,13 @@ independently, from their own generating function: v_s = T_{s+1}(y) - q^s has
 seeds v1 = -(q-1), v2 = -(q-1)(c + 9d*delta_y)/2, v3 = 3q*v1 and the same
 recurrence, where delta_y = -theta for class C1 and +theta for class C2.
 
+A single count N_s or T_s is the s-th term of that order-3 recurrence and is
+computed in O(log s) multiplications: x^(s-1) modulo the characteristic
+polynomial x^3 - 3q*x - qc by square-and-multiply (Fiduccia, "An efficient
+formula for linear recurrences", SIAM J. Comput. 1985) gives
+x^(s-1) = r0 + r1*x + r2*x^2, and then u_s = r0*u_1 + r1*u_2 + r2*u_3.
+Series windows need every term and stay on the linear recurrence walk.
+
 For q = 2 (mod 3) the cube map is a bijection and every count is q^(s-1);
 see :func:`bijective_count`.
 
@@ -77,18 +84,40 @@ def _recurrence(seeds: tuple[int, int, int], q: int, c: int) -> Iterator[int]:
         yield x3
 
 
-def _value_at(seeds: tuple[int, int, int], q: int, c: int, s: int) -> int:
-    stream = _recurrence(seeds, q, c)
-    for _ in range(s - 1):
-        next(stream)
-    return next(stream)
+def _x_power(n: int, q: int, c: int) -> tuple[int, int, int]:
+    """(r0, r1, r2) with x^n = r0 + r1*x + r2*x^2 modulo x^3 - 3q*x - qc.
+
+    Left-to-right square-and-multiply with the reduction x^3 = 3q*x + qc:
+    O(log n) multiplications of exact integers.  n < 3 needs no arithmetic.
+    """
+    if n < 3:
+        return (1, 0, 0) if n == 0 else (0, 1, 0) if n == 1 else (0, 0, 1)
+    three_q, qc = 3 * q, q * c
+    r0, r1, r2 = 1, 0, 0
+    for bit in bin(n)[2:]:
+        # (r0 + r1 x + r2 x^2)^2 = p0 + p1 x + p2 x^2 + p3 x^3 + p4 x^4,
+        # reduced with x^3 = 3q x + qc and x^4 = 3q x^2 + qc x
+        p0, p1, p2 = r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2
+        p3, p4 = 2 * r1 * r2, r2 * r2
+        r0, r1, r2 = p0 + qc * p3, p1 + three_q * p3 + qc * p4, p2 + three_q * p4
+        if bit == "1":  # times x
+            r0, r1, r2 = qc * r2, r0 + three_q * r2, r1
+    return r0, r1, r2
+
+
+def _term(power: tuple[int, int, int], seeds: tuple[int, int, int]) -> int:
+    """x_{n+1} of the recurrence started from seeds, given power = x^n
+    modulo its characteristic polynomial (see :func:`_x_power`)."""
+    r0, r1, r2 = power
+    x1, x2, x3 = seeds
+    return r0 * x1 + r1 * x2 + r2 * x3
 
 
 def excess_at(data: CubicData, cls: CubicClass, s: int, theta_source: str = "exact") -> int:
     """u_s for a nonzero target class, any s >= 1, exact."""
     if s < 1:
         raise DomainError("the deviation sequence starts at s = 1")
-    return _value_at(excess_seeds(data, cls, theta_source), data.q, data.c, s)
+    return _term(_x_power(s - 1, data.q, data.c), excess_seeds(data, cls, theta_source))
 
 
 def _seeds(data: CubicData, target: CubicClass, theta_source: str) -> tuple[int, int, int]:
@@ -108,7 +137,14 @@ def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: st
         raise DomainError("s must be nonnegative")
     if s == 0:
         return 1 if target is CubicClass.ZERO else 0
-    value = data.q ** (s - 1) + _value_at(_seeds(data, target, theta_source), data.q, data.c, s)
+    return _count_from(data, _x_power(s - 1, data.q, data.c), s, target, theta_source)
+
+
+def _count_from(
+    data: CubicData, power: tuple[int, int, int], s: int, target: CubicClass, theta_source: str
+) -> int:
+    """N_s (s >= 1) from power = x^(s-1) modulo the characteristic polynomial."""
+    value = data.q ** (s - 1) + _term(power, _seeds(data, target, theta_source))
     if value < 0:
         raise IntegrityError(f"negative count {value} for s = {s}, target {target}")
     return value
@@ -133,9 +169,9 @@ def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str 
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if s < 2:
         raise DomainError("twisted counts need at least two variables")
-    return count_diagonal(data, s - 1, CubicClass.ZERO, theta_source) + (data.q - 1) * count_diagonal(
-        data, s - 1, y_cls, theta_source
-    )
+    power = _x_power(s - 2, data.q, data.c)  # shared by both N_{s-1}
+    zero_count = _count_from(data, power, s - 1, CubicClass.ZERO, theta_source)
+    return zero_count + (data.q - 1) * _count_from(data, power, s - 1, y_cls, theta_source)
 
 
 def twisted3_closed(data: CubicData, y_cls: CubicClass, theta_source: str = "exact") -> int:

@@ -22,10 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, ResourceError
 from .ntheory import is_prime, prime_factors
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
+
+#: Largest p for the direct Jacobi sum, whose discrete-log table has p entries.
+_MAX_JACOBI_P = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +119,13 @@ def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
     Builds the discrete-log table of gen in one multiplicative pass, then sums
     chi(x) * chi(1 - x) over x in F_p minus {0, 1}.  The result is checked to
     have norm p and w-coefficient divisible by 3 before it is returned.
+    p above ``_MAX_JACOBI_P`` is refused with a ResourceError before any work.
     """
+    if p > _MAX_JACOBI_P:
+        raise ResourceError(
+            f"the direct cubic Jacobi sum over F_{p} needs a table of {p} entries, "
+            f"above the cap of p <= {_MAX_JACOBI_P}"
+        )
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 3 != 1:

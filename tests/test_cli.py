@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagcubic import CubicClass, cli, count_diagonal, cubic_data, make_field, verify
 
@@ -250,3 +255,111 @@ class TestOutputCap:
             assert code == 2
             assert out.count("\n") == 1
             assert json.loads(out)["error"]["type"] == "resource"
+
+
+class TestResourceRefusals:
+    """Requests beyond a size cap end as one resource-error line, exit 2."""
+
+    def test_constants_beyond_jacobi_cap(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagcubic", "constants", "--p", "1000000000039"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "resource"
+
+    def test_series_total_cap_boundary(self, capsys, monkeypatch):
+        # q = 7 has one digit: n terms may print up to (n+1)(n+2)/2 digits
+        monkeypatch.setattr(cli, "_MAX_SERIES_DIGITS", 91)
+        code, out = run_cli(capsys, "series", "--p", "7", "--z", "c1", "--n-terms", "12")
+        assert code == 0 and len(json.loads(out)["result"]["coefficients"]) == 12
+        for flag in ("--z", "--y"):
+            code, out = run_cli(capsys, "series", "--p", "7", flag, "c1", "--n-terms", "13")
+            assert code == 2
+            assert json.loads(out)["error"]["type"] == "resource"
+
+    def test_series_total_cap_default(self, capsys):
+        # each count of this window is under the per-count cap, the whole is not
+        code, out = run_cli(capsys, "series", "--p", "31", "--z", "c1", "--n-terms", "49999")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "resource"
+        code, out = run_cli(capsys, "series", "--p", "97", "--k", "2", "--z", "zero", "--n-terms", "500")
+        assert code == 0
+        assert len(json.loads(out)["result"]["coefficients"]) == 500
+        # a negative window is a validation error, however large
+        code, out = run_cli(capsys, "series", "--p", "7", "--z", "zero", "--n-terms", "-100000")
+        assert (code, json.loads(out)["error"]["type"]) == (2, "validation")
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_one_json_error(self, capsys, monkeypatch):
+        def boom(args):
+            raise KeyError("unexpected")
+
+        monkeypatch.setitem(cli._HANDLERS, "constants", boom)
+        code, out = run_cli(capsys, "constants", "--p", "7")
+        assert code == 3
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "internal" and "KeyError" in error["message"]
+
+
+#: option -> small values, valid and not; fields stay small so each call is quick
+_FUZZ_OPTIONS = {
+    "--p": ("1", "2", "3", "4", "5", "7", "13", "31", "-7", "x"),
+    "--k": ("0", "1", "2", "3", "-1"),
+    "--s": ("-1", "0", "1", "2", "3", "9", "x"),
+    "--n-terms": ("-1", "0", "1", "2", "7"),
+    "--z": ("zero", "c0", "c1", "c2", "0", "1", "3", "0,1", "1,2", "1,2,3,4", "x", ""),
+    "--y": ("zero", "c0", "c1", "c2", "1", "3", "0,1", "x"),
+    "--modulus": ("1,0,1", "1,1,1", "3,0,1", "1", "x"),
+    "--generator": ("3", "3,1", "0,1", "0", "x"),
+    "--theta-source": ("exact", "paper", "bogus"),
+    "--format": ("json", "tsv"),
+}
+
+
+def _one_json_object(out: str) -> dict:
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert isinstance(payload, dict)
+    return payload
+
+
+class TestArgvFuzz:
+    """Any argv for constants/count/series ends in a declared exit code with
+    exactly one JSON object, or TSV on success -- never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(("constants", "count", "series")),
+        field=st.tuples(st.sampled_from(("2", "5", "7", "13", "31")), st.sampled_from(("1", "2", "3"))),
+        target=st.tuples(st.sampled_from(("--z", "--y")), st.sampled_from(("zero", "c0", "c1", "c2", "1", "3"))),
+        s=st.sampled_from(("0", "1", "2", "3", "9")),
+        overrides=st.lists(
+            st.sampled_from(sorted(_FUZZ_OPTIONS)).flatmap(
+                lambda name: st.tuples(st.just(name), st.sampled_from(_FUZZ_OPTIONS[name]))
+            ),
+            max_size=3,
+        ),
+        stray=st.lists(st.sampled_from(("--bogus", "zero", "7", "--p")), max_size=1),
+    )
+    def test_exit_codes_and_output(self, command, field, target, s, overrides, stray):
+        # a well-formed request, then options overridden with values valid or not
+        options = [("--p", field[0]), ("--k", field[1])]
+        options += [target] * (command != "constants") + [("--s", s)] * (command == "count")
+        options += overrides
+        argv = [command, *(token for pair in options for token in pair), *stray]
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli.main(argv)
+        out = buffer.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            assert set(_one_json_object(out)) == {"error"}
+        elif dict(options).get("--format") == "tsv":
+            assert out.endswith("\n") and all("\t" in line for line in out.splitlines())
+        else:
+            assert set(_one_json_object(out)) == {"query", "result", "warnings"}

@@ -6,7 +6,9 @@ refactor must reproduce every record exactly; a record changes only with an
 intended change of output.  The two inputs that crashed at recording time
 (a count over the int-to-str digit limit and constants at p ~ 10^12) are
 deliberately absent, and `verify` appears only as TSV because its JSON form
-carries floating-point errors.
+carries floating-point errors.  The p ~ 10^12 constants call is now refused
+before any O(p) work; `test_refusal_unchanged` pins its exit code and error
+type (the message may be reworded).
 """
 
 import json
@@ -24,3 +26,17 @@ def test_cli_output_unchanged(capsys, record):
     code = cli.main(list(record["argv"]))
     assert (code, capsys.readouterr().out) == (record["exit"], record["stdout"])
 
+
+#: Requests refused before any heavy work: (argv, exit code, error type).
+REFUSALS = [
+    (["constants", "--p", "1000000000039"], 2, "resource"),
+    (["series", "--p", "31", "--z", "c1", "--n-terms", "49999"], 2, "resource"),
+]
+
+
+@pytest.mark.parametrize("argv, code, kind", REFUSALS, ids=[" ".join(argv) for argv, _, _ in REFUSALS])
+def test_refusal_unchanged(capsys, argv, code, kind):
+    assert cli.main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == kind

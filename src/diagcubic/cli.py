@@ -15,8 +15,9 @@ Fields are selected with --p/--k plus optional --modulus/--generator overrides
 Output is deterministic JSON ({"query": ..., "result": ..., "warnings": [...]})
 or TSV.  Exit codes: 0 success, 1 verification failure, 2 validation or
 resource error (counts longer than the output cap, a series window longer
-than the total cap), 3 integrity or internal error; errors are emitted as
-JSON objects.
+than the total cap, a field beyond a size cap of the primality test, the
+factoring of q - 1, the irreducibility test or the (c, d) search), 3
+integrity or internal error; errors are emitted as JSON objects.
 """
 
 from __future__ import annotations

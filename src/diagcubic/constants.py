@@ -16,9 +16,13 @@ Gauss sum divided by q, which lives in Z[w]:
 and, writing M = A + B*w: c = 2A - B, d = |B| / 3, theta = sgn(B).
 
 Every constant is computed once per field, in :func:`cubic_data`.  The
-production route is the one Jacobi sum J: it gives M, M gives (c, d) and
-theta, and J gives the r-pair.  The Diophantine search :func:`cd_search` is
-the independent witness for (c, d); the two routes must agree exactly.
+production route is the one Jacobi sum J, found in O(log p) by the modified
+Cornacchia algorithm with the r2 sign fixed by the congruence of Gauss's
+cubic theorem (:func:`~diagcubic.eisenstein.jacobi_sum_cubic`): J gives M,
+M gives (c, d) and theta, and J gives the r-pair.  The Diophantine search
+:func:`cd_search` is the independent witness for (c, d); the two routes must
+agree exactly.  The direct O(p) Jacobi sum is a second witness, used only
+by ``verify`` and the tests.
 
 A second prediction of theta ("theta_paper", the published parity rule) is
 computed independently: 0 for even k, and the sign of Im((r1+3*sqrt(3)*r2*i)^k)
@@ -34,10 +38,13 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .eisenstein import EisensteinInt, jacobi_sum_cubic, r_pair
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, ResourceError
 from .fields import CubicClass, FieldDescriptor
 
 THETA_SOURCES = ("exact", "paper")
+
+#: Largest number of d values cd_search tries: q up to about 6.75 * 10^12.
+_MAX_CD_SEARCH_LOOPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -67,10 +74,17 @@ def cd_search(q: int, p: int) -> tuple[int, int]:
 
     Enumerates d and tests 4q - 27 d^2 for squareness with exact integer
     square roots; zero or multiple survivors contradict the uniqueness the
-    closed forms rely on and abort loudly.
+    closed forms rely on and abort loudly.  A q needing more than
+    ``_MAX_CD_SEARCH_LOOPS`` values of d is refused with a ResourceError
+    before the loop.
     """
     if q % 3 != 1:
         raise DomainError(f"q = {q} = 2 (mod 3) has no (c, d) representation")
+    loops = isqrt(4 * q // 27) + 1
+    if loops > _MAX_CD_SEARCH_LOOPS:
+        raise ResourceError(
+            f"the (c, d) search for q = {q} needs {loops} steps, above the cap of {_MAX_CD_SEARCH_LOOPS}"
+        )
     survivors = []
     d = 0
     while 27 * d * d <= 4 * q:
@@ -126,16 +140,16 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
     Production route: for p = 1 (mod 3) one Jacobi sum J over F_p, taken with
     the prime-field generator norm(g) so that class labels, theta and the r2
     sign agree, gives M = (-1)^(k-1) * J^k and the r-pair; M gives c, d and
-    theta.  For p = 2 (mod 3) there is no cubic character of F_p: d = 0,
-    theta = 0 and M = c/2.  Witness: cd_search, whose (c, d) must equal the
-    pair read off M.  J is computed first, so a p above the direct sum's cap
-    is refused with a ResourceError before the O(sqrt q) witness runs.
+    theta.  J comes from the modified Cornacchia algorithm and the r2
+    congruence in O(log p).  For p = 2 (mod 3) there is no cubic character of
+    F_p: d = 0, theta = 0 and M = c/2.  Witness: cd_search, whose (c, d) must
+    equal the pair read off M; it takes O(sqrt q) steps and refuses q above
+    about 6.75 * 10^12 with a ResourceError.
     """
     q, p, k = field.q, field.p, field.k
     if q % 3 != 1:
         raise DomainError(f"q = {q} = 2 (mod 3): the counting constants are not defined")
     if p % 3 == 1:
-        # J before the O(sqrt q) witness, so that a p above J's cap is refused at once
         j_sum = jacobi_sum_cubic(p, field.g.norm())
         c, d = cd_search(q, p)
         m = j_sum ** k

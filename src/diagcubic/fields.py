@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .eisenstein import EI_ONE, EI_ZERO, OMEGA, OMEGA2, EisensteinInt
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, ResourceError
 from .ntheory import is_prime, prime_factors
 
 
@@ -50,6 +50,10 @@ _CHARACTER_VALUE = {
     CubicClass.C1: OMEGA,
     CubicClass.C2: OMEGA2,
 }
+
+#: Largest number of trial divisors the irreducibility test may need, the
+#: monic polynomials of degree <= k/2 over F_p (about p^(k/2)).
+_MAX_TRIAL_DIVISORS = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +88,23 @@ def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
         yield tuple(coeffs) + (1,)
 
 
+def _check_trial_division(p: int, degree: int) -> None:
+    """Refuse a degree whose irreducibility test would need more than
+    ``_MAX_TRIAL_DIVISORS`` trial divisors, before any is tried."""
+    divisors = 0
+    for d in range(1, degree // 2 + 1):
+        divisors += p ** d
+        if divisors > _MAX_TRIAL_DIVISORS:
+            raise ResourceError(
+                f"testing a degree-{degree} polynomial over F_{p} for irreducibility needs "
+                f"more than {_MAX_TRIAL_DIVISORS} trial divisors"
+            )
+
+
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     degree = len(poly) - 1
+    _check_trial_division(p, degree)
     if degree < 1:
         return False
     if degree == 1:
@@ -108,6 +126,7 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
         raise DomainError(f"{p} is not prime")
     if k < 2:
         raise DomainError("degree must be at least 2; the prime field needs no modulus")
+    _check_trial_division(p, k)  # before _monic_polys forms p^k
     for poly in _monic_polys(p, k):
         if _is_irreducible(poly, p):
             return poly
@@ -254,7 +273,6 @@ class FieldDescriptor:
             raise DomainError("extension degree must be positive")
         self.p = p
         self.k = k
-        self.q = p ** k
 
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise DomainError(f"modulus must be monic of degree {k}")
@@ -265,6 +283,7 @@ class FieldDescriptor:
                 raise DomainError("the prime field uses the trivial modulus t")
         elif not _is_irreducible(modulus, p):
             raise DomainError(f"modulus {modulus} is reducible over F_{p}")
+        self.q = p ** k  # after the modulus checks, which bound k by the modulus length
         self.modulus = tuple(modulus)
         self._sig = (p, k, self.modulus)
 

@@ -1,37 +1,78 @@
-"""Small integer number-theory helpers (trial division scale)."""
+"""Integer number-theory helpers: primality, factoring, square roots mod p,
+and the modified Cornacchia algorithm."""
 
 from functools import lru_cache
+from math import isqrt
+
+from .errors import ResourceError
+
+#: The first 13 primes: Miller-Rabin with these bases is deterministic below
+#: _MILLER_RABIN_LIMIT (Sorenson and Webster, 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+#: Largest trial divisor prime_factors tries while the cofactor is still composite.
+_MAX_TRIAL_DIVISOR = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; ample for desk-scale inputs."""
+    """Deterministic Miller-Rabin primality over the first 13 prime bases.
+
+    n at or above 3.317 * 10^24, where these bases are no longer known to
+    suffice, is refused with a ResourceError.
+    """
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ResourceError(
+            f"primality of {n} is not decided deterministically above {_MILLER_RABIN_LIMIT}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n >= 1, ascending."""
+    """Distinct prime factors of n >= 1, ascending.
+
+    Trial division stops as soon as the cofactor is prime; a cofactor still
+    composite once the divisor passes ``_MAX_TRIAL_DIVISOR`` is refused with
+    a ResourceError.
+    """
     out = []
+    m = n  # the cofactor left after dividing out every prime found
+    composite = m > 1 and not is_prime(m)
     f = 2
-    while f * f <= n:
-        if n % f == 0:
+    while composite:
+        if f > _MAX_TRIAL_DIVISOR:
+            raise ResourceError(
+                f"factoring {n} needs trial divisors above {_MAX_TRIAL_DIVISOR}: "
+                f"the cofactor {m} is composite"
+            )
+        if m % f == 0:
             out.append(f)
-            while n % f == 0:
-                n //= f
+            while m % f == 0:
+                m //= f
+            composite = m > 1 and not is_prime(m)
         f += 1
-    if n > 1:
-        out.append(n)
+    if m > 1:
+        out.append(m)
     return tuple(out)
 
 
@@ -45,3 +86,54 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p by Tonelli-Shanks, or None
+    if a is not a square mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; i < m because t has order 2^i
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
+def cornacchia4(d: int, p: int) -> tuple[int, int] | None:
+    """Nonnegative (x, y) with x^2 + d*y^2 = 4p, or None if there are none.
+
+    The modified Cornacchia algorithm (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.5.3) for an odd prime p and d > 0 with
+    -d = 0 or 1 (mod 4): a square root of -d mod p of the parity of d,
+    then the Euclidean algorithm on (2p, root) until the remainder falls to
+    at most 2*sqrt(p).  Takes O(log p) steps.
+    """
+    x0 = sqrt_mod(-d, p)
+    if x0 is None:
+        return None
+    if (x0 - d) % 2:
+        x0 = p - x0
+    a, b, limit = 2 * p, x0, isqrt(4 * p)
+    while b > limit:
+        a, b = b, a % b
+    rest, rem = divmod(4 * p - b * b, d)
+    y = isqrt(rest)
+    if rem or y * y != rest:
+        return None
+    return b, y

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,17 @@ class TestConstantsCommand:
         _, first = run_cli(capsys, "constants", "--p", "31")
         _, second = run_cli(capsys, "constants", "--p", "31")
         assert first == second
+
+    def test_large_prime(self):
+        # p ~ 10^12: Cornacchia gives J at once, the (c, d) witness takes about 0.3 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagcubic", "constants", "--p", "1000000000039"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        result = json.loads(proc.stdout)["result"]
+        assert (result["c"], result["d"]) == (-320657, 379921)
+        assert 4 * 1000000000039 == result["c"] ** 2 + 27 * result["d"] ** 2
 
     def test_theta_mismatch_warning(self, capsys):
         code, out = run_cli(capsys, "constants", "--p", "7", "--k", "2")
@@ -260,10 +272,20 @@ class TestOutputCap:
 class TestResourceRefusals:
     """Requests beyond a size cap end as one resource-error line, exit 2."""
 
-    def test_constants_beyond_jacobi_cap(self):
+    @pytest.mark.parametrize("argv", [
+        # p = 1 (mod 3) above the (c, d) search cap: about 1.2 * 10^6 steps
+        ["constants", "--p", "10000000000051"],
+        ["count", "--p", "10000000000051", "--s", "3", "--z", "zero"],
+        # p - 1 = 2 * 1000003 * 1000121: a composite cofactor beyond the trial-division bound
+        ["constants", "--p", "2000248000727"],
+        # about 13^6 trial divisors per candidate modulus
+        ["constants", "--p", "13", "--k", "13"],
+        # beyond the deterministic Miller-Rabin range
+        ["constants", "--p", "10000000000000000000000000000057"],
+    ], ids=" ".join)
+    def test_constants_beyond_cap(self, argv):
         proc = subprocess.run(
-            [sys.executable, "-m", "diagcubic", "constants", "--p", "1000000000039"],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "diagcubic", *argv], capture_output=True, text=True, timeout=20,
         )
         assert (proc.returncode, proc.stderr) == (2, "")
         assert proc.stdout.count("\n") == 1

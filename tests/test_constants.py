@@ -7,6 +7,7 @@ from diagcubic import (
     DomainError,
     EisensteinInt,
     IntegrityError,
+    ResourceError,
     cd_search,
     count_diagonal,
     cubic_data,
@@ -211,3 +212,22 @@ class TestGeneratorCoset:
         for s in range(1, 5):
             assert count_diagonal(swapped, s, CubicClass.C1) == count_diagonal(data, s, CubicClass.C2)
             assert count_diagonal(swapped, s, CubicClass.C2) == count_diagonal(data, s, CubicClass.C1)
+
+
+class TestCdSearchCap:
+    def test_boundary(self, monkeypatch):
+        # q = 31 takes d = 0, 1, 2: isqrt(4 * 31 // 27) + 1 = 3 steps
+        monkeypatch.setattr(constants_module, "_MAX_CD_SEARCH_LOOPS", 3)
+        assert cd_search(31, 31) == (4, 2)
+        monkeypatch.setattr(constants_module, "_MAX_CD_SEARCH_LOOPS", 2)
+        with pytest.raises(ResourceError):
+            cd_search(31, 31)
+
+    def test_default_cap(self):
+        with pytest.raises(ResourceError):
+            cd_search(10_000_000_000_051, 10_000_000_000_051)  # about 1.2 * 10^6 steps
+
+    def test_large_prime_field(self):
+        # Cornacchia gives J, the witness needs 384,900 steps and agrees
+        data = cubic_data(make_field(1_000_000_000_039))
+        assert (data.c, data.d, data.r1, data.r2, data.theta) == (-320657, 379921, -320657, -379921, -1)

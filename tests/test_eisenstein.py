@@ -1,7 +1,19 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
-from diagcubic import DomainError, EisensteinInt, IntegrityError, jacobi_sum_cubic, r_pair
+from diagcubic import (
+    DomainError,
+    EisensteinInt,
+    IntegrityError,
+    ResourceError,
+    eisenstein,
+    jacobi_sum_cubic,
+    r_pair,
+    verify,
+)
+from diagcubic.eisenstein import jacobi_sum_direct
 from diagcubic.ntheory import primes_up_to
 
 ints = st.integers(-10 ** 6, 10 ** 6)
@@ -111,3 +123,71 @@ class TestRPair:
             r_pair(EisensteinInt(1, 1), 31)  # norm 1, not 31
         with pytest.raises(IntegrityError):
             r_pair(EisensteinInt(2, 1), 3)  # norm 3 but w-coefficient not divisible by 3
+
+
+class TestCornacchiaRoute:
+    """The O(log p) route against the O(p) direct sum it replaced."""
+
+    def test_equals_direct_sum_and_conjugates_under_other_coset(self):
+        # every prime p = 1 (mod 3) below 2 * 10^4 with its least primitive
+        # root g, and with g^e, e = 2 (mod 3), which sends chi to chi^2
+        scanned = 0
+        for p in primes_up_to(20_000):
+            if p % 3 != 1:
+                continue
+            gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+            e = next(e for e in range(2, p, 3) if gcd(e, p - 1) == 1)
+            direct = jacobi_sum_direct(p, gen)
+            assert jacobi_sum_cubic(p, gen) == direct, p
+            assert jacobi_sum_cubic(p, pow(gen, e, p)) == direct.conjugate(), p
+            scanned += 1
+        assert scanned == 1124
+
+    def test_direct_sum_conjugates_under_other_coset(self):
+        for p in (7, 13, 31, 61, 97, 409):
+            gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+            e = next(e for e in range(2, p, 3) if gcd(e, p - 1) == 1)
+            assert jacobi_sum_direct(p, pow(gen, e, p)) == jacobi_sum_direct(p, gen).conjugate()
+
+    def test_large_prime(self):
+        j = jacobi_sum_cubic(1_000_000_000_039, 3)
+        assert j == EisensteinInt(-730210, -1139763)
+        assert r_pair(j, 1_000_000_000_039) == (-320657, -379921)
+
+    def test_domain_errors_at_large_p(self):
+        with pytest.raises(DomainError):
+            jacobi_sum_cubic(1_000_000_000_037, 2)  # composite
+        with pytest.raises(DomainError):
+            jacobi_sum_cubic(1_000_000_000_061, 2)  # p = 2 (mod 3)
+        with pytest.raises(DomainError):
+            jacobi_sum_cubic(1_000_000_000_039, 4)  # a square is no generator
+
+    def test_direct_sum_refuses_large_p(self):
+        with pytest.raises(ResourceError):
+            jacobi_sum_direct(10_000_141, 2)
+        with pytest.raises(ResourceError):
+            jacobi_sum_direct(1_000_000_000_039, 3)
+
+    @pytest.mark.parametrize("solution", [None, (4, 4), (5, 1), (4, 33)])
+    def test_integrity_errors(self, monkeypatch, solution):
+        # p = 31, g = 3: the true solution is (4, 2) with r2 = +2; (4, 4) and
+        # (5, 1) meet the congruence with neither sign, (4, 33) meets it but
+        # not the norm
+        assert jacobi_sum_cubic(31, 3) == EisensteinInt(5, 6)
+        monkeypatch.setattr(eisenstein, "cornacchia4", lambda d, p: solution)
+        with pytest.raises(IntegrityError):
+            jacobi_sum_cubic(31, 3)
+
+    def test_jacobi_scan_names_both_routes_on_disagreement(self, monkeypatch):
+        real = verify.jacobi_sum_cubic
+
+        def conjugated_at_31(p, gen):
+            j = real(p, gen)
+            return j.conjugate() if p == 31 else j
+
+        monkeypatch.setattr(verify, "jacobi_sum_cubic", conjugated_at_31)
+        scan = [c for c in verify.check_constants_integrity(jacobi_bound=100) if c.name == "jacobi-scan"][0]
+        assert scan.status == "fail"
+        (p, message), = scan.observed
+        assert p == 31
+        assert "Cornacchia route gives -1-6*w" in message and "direct sum gives 5+6*w" in message

@@ -5,12 +5,14 @@ from diagcubic import (
     CubicClass,
     DomainError,
     EisensteinInt,
+    ResourceError,
     find_generator,
     find_irreducible,
     make_field,
     parse_element,
     parse_field,
 )
+from diagcubic import fields as fields_module
 from diagcubic.ntheory import prime_factors
 
 
@@ -241,3 +243,33 @@ class TestConstruction:
         field = make_field(7, 2, modulus=(3, 1, 1))  # t^2 + t + 3, irreducible
         assert field.q == 49
         assert field.g ** 48 == field.one
+
+
+class TestTrialDivisionCap:
+    @pytest.mark.parametrize("p, k", [(7, 6), (97, 2), (2, 10), (13, 4), (11, 3), (2, 9), (19, 3)])
+    def test_fields_in_use_construct(self, p, k):
+        field = make_field(p, k)
+        assert field.q == p ** k and len(field.modulus) == k + 1
+
+    def test_refuses_large_degree(self):
+        with pytest.raises(ResourceError):
+            find_irreducible(13, 13)  # about 13^6 trial divisors per candidate
+        with pytest.raises(ResourceError):
+            make_field(13, 13)
+        with pytest.raises(ResourceError):
+            make_field(13, 13, modulus=(2,) + (0,) * 12 + (1,))
+        with pytest.raises(ResourceError):
+            make_field(2, 10**9)
+
+    def test_boundary(self, monkeypatch):
+        # degree 4 over F_7 needs the 7 + 49 monic divisors of degree 1 and 2
+        monkeypatch.setattr(fields_module, "_MAX_TRIAL_DIVISORS", 56)
+        assert find_irreducible(7, 4) == make_field(7, 4).modulus
+        monkeypatch.setattr(fields_module, "_MAX_TRIAL_DIVISORS", 55)
+        with pytest.raises(ResourceError):
+            find_irreducible(7, 4)
+
+    def test_malformed_modulus_of_huge_degree_is_rejected_first(self):
+        # the modulus length is checked before q = p^k is formed
+        with pytest.raises(DomainError):
+            make_field(2, 10**9, modulus=(1, 1))

@@ -6,9 +6,10 @@ refactor must reproduce every record exactly; a record changes only with an
 intended change of output.  The two inputs that crashed at recording time
 (a count over the int-to-str digit limit and constants at p ~ 10^12) are
 deliberately absent, and `verify` appears only as TSV because its JSON form
-carries floating-point errors.  The p ~ 10^12 constants call is now refused
-before any O(p) work; `test_refusal_unchanged` pins its exit code and error
-type (the message may be reworded).
+carries floating-point errors.  The p ~ 10^12 constants call is answered
+since the Jacobi sum is found by Cornacchia (tests/test_cli.py pins its
+values); `test_refusal_unchanged` pins the exit code and error type of
+requests refused by a size cap (the message may be reworded).
 """
 
 import json
@@ -29,7 +30,7 @@ def test_cli_output_unchanged(capsys, record):
 
 #: Requests refused before any heavy work: (argv, exit code, error type).
 REFUSALS = [
-    (["constants", "--p", "1000000000039"], 2, "resource"),
+    (["constants", "--p", "10000000000051"], 2, "resource"),  # above the (c, d) search cap
     (["series", "--p", "31", "--z", "c1", "--n-terms", "49999"], 2, "resource"),
 ]
 

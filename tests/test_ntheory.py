@@ -1,0 +1,112 @@
+import random
+from math import prod
+
+import pytest
+
+from diagcubic import ResourceError
+from diagcubic import ntheory
+from diagcubic.ntheory import cornacchia4, is_prime, prime_factors, primes_up_to, sqrt_mod
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_2e5(self):
+        assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if _trial_division(n)]
+
+    @pytest.mark.parametrize("n", [
+        561, 41041,                # Carmichael numbers
+        3215031751,                # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,       # strong pseudoprime to every prime base up to 23
+    ])
+    def test_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        for p in (1_000_003, 1_000_000_000_039, 1_000_000_000_061, 2**61 - 1):
+            assert is_prime(p)
+        assert not is_prime((2**61 - 1) * 1_000_003)
+
+    def test_refuses_beyond_deterministic_range(self):
+        limit = ntheory._MILLER_RABIN_LIMIT
+        assert not is_prime(limit - 1)  # even
+        with pytest.raises(ResourceError):
+            is_prime(limit)
+
+
+class TestPrimeFactors:
+    @pytest.mark.parametrize("n", [1, 2, 12, 97, 1000002, 1000000000038, 2**64 - 1, 2 * 3 * 999983 ** 2])
+    def test_factorisation(self, n):
+        factors = prime_factors(n)
+        assert list(factors) == sorted(set(factors))
+        assert all(is_prime(f) for f in factors)
+        m = n
+        for f in factors:
+            while m % f == 0:
+                m //= f
+        assert m == 1
+
+    def test_stops_at_a_prime_cofactor(self):
+        # the cofactor 2^61 - 1 is prime: no trial division up to its square root
+        assert prime_factors(6 * (2**61 - 1)) == (2, 3, 2**61 - 1)
+
+    def test_refuses_composite_cofactor_beyond_bound(self, monkeypatch):
+        with pytest.raises(ResourceError):
+            prime_factors(2 * 1000003 * 1000033)
+        # boundary: the divisor 1009 is tried at the bound and not above it
+        monkeypatch.setattr(ntheory, "_MAX_TRIAL_DIVISOR", 1009)
+        assert prime_factors.__wrapped__(1009 * 1013 * 2) == (2, 1009, 1013)
+        monkeypatch.setattr(ntheory, "_MAX_TRIAL_DIVISOR", 1008)
+        with pytest.raises(ResourceError):
+            prime_factors.__wrapped__(1009 * 1013 * 2)
+
+
+class TestSqrtMod:
+    def test_every_residue_small_primes(self):
+        for p in primes_up_to(300)[1:]:
+            for a in range(p):
+                if a == 0 or pow(a, (p - 1) // 2, p) == 1:
+                    x = sqrt_mod(a, p)
+                    assert x * x % p == a
+                else:
+                    assert sqrt_mod(a, p) is None
+
+    def test_large_primes(self):
+        rng = random.Random(5)
+        # 998244353 - 1 = 119 * 2^23 exercises the Tonelli-Shanks inner loop
+        for p in (998244353, 2**61 - 1, 1_000_000_000_039):
+            for _ in range(20):
+                a = pow(rng.randrange(1, p), 2, p)
+                x = sqrt_mod(a, p)
+                assert x * x % p == a
+
+
+class TestCornacchia:
+    def test_all_small_primes(self):
+        for p in primes_up_to(5_000)[1:]:
+            found = cornacchia4(27, p)
+            brute = [(x, y) for y in range(0, 2 * p) if 27 * y * y <= 4 * p
+                     for x in [int((4 * p - 27 * y * y) ** 0.5 + 0.5)] if x * x + 27 * y * y == 4 * p]
+            if p % 3 == 1:
+                assert found in brute and len(brute) == 1
+            else:
+                assert found is None and not brute
+
+    def test_other_discriminants(self):
+        # d = 3 (x^2 + 3y^2 = 4p for p = 1 mod 3) and d = 4 (x^2 + 4y^2 = 4p for p = 1 mod 4)
+        for p in (7, 13, 31, 37, 1_000_000_000_039):
+            x, y = cornacchia4(3, p)
+            assert x * x + 3 * y * y == 4 * p
+        for p in (5, 13, 17, 29, 1_000_000_000_061):
+            x, y = cornacchia4(4, p)
+            assert x * x + 4 * y * y == 4 * p
+        assert cornacchia4(4, 7) is None

@@ -19,8 +19,8 @@ Production route (:func:`jacobi_sum_cubic`, O(log p)): the modified
 Cornacchia algorithm solves 4p = L^2 + 27*M^2, r1 = +-L is fixed by
 r1 = 1 (mod 3) and r2 = +-M by the congruence (Gauss's cubic theorem), and
 J = (r1 + 3*r2)/2 + 3*r2*w.  Witness (:func:`jacobi_sum_direct`, O(p) time
-and memory, p <= 10^7): the sum above, term by term over a discrete-log
-table; ``verify`` and the tests require both routes to agree.
+and memory, p <= 10^7): the sum above over a table of discrete logs mod 3;
+``verify`` and the tests require both routes to agree.
 """
 
 from __future__ import annotations
@@ -159,9 +159,10 @@ def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
     """Cubic Jacobi sum over F_p by direct O(p) summation, with chi(gen) = w:
     the witness for :func:`jacobi_sum_cubic`, used by ``verify`` and the tests.
 
-    Builds the discrete-log table of gen in one multiplicative pass, then sums
-    chi(x) * chi(1 - x) over x in F_p minus {0, 1}.  The result is checked to
-    have norm p and w-coefficient divisible by 3 before it is returned.
+    Builds the discrete logs of gen mod 3 in one multiplicative pass, then
+    sums chi(x) * chi(1 - x) over x in F_p minus {0, 1}.  The result is
+    checked to have norm p and w-coefficient divisible by 3 before it is
+    returned.
     p above ``_MAX_JACOBI_P`` is refused with a ResourceError before any work.
     """
     if p > _MAX_JACOBI_P:
@@ -175,17 +176,26 @@ def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
         raise DomainError(f"no cubic character mod {p}: p = 2 (mod 3)")
     _verify_generator_mod_p(gen, p)
 
-    index_mod3 = [0] * p
+    # index[x] = ind(x) mod 3, walking x = gen^j three steps at a time (3 | p - 1)
+    index = bytearray(p)
+    gen3 = pow(gen, 3, p)
     x = 1
-    for j in range(p - 1):
-        index_mod3[x] = j % 3
-        x = x * gen % p
+    for _ in range((p - 1) // 3):
+        y = x * gen % p
+        index[y] = 1
+        index[y * gen % p] = 2
+        x = x * gen3 % p
 
     # chi(x) * chi(1-x) = w^(ind(x) + ind(1-x)); tally the three powers of w.
-    buckets = [0, 0, 0]
-    for c1 in range(2, p):
-        buckets[(index_mod3[c1] + index_mod3[(1 - c1) % p]) % 3] += 1
-    n0, n1, n2 = buckets
+    # For x = 2 .. p-1, 1 - x = p + 1 - x runs over the same range backwards, so
+    # the indices of 1 - x are head reversed.  Adding the two byte strings as
+    # integers adds them bytewise, since no byte sum exceeds 4.
+    head = index[2:]
+    total = int.from_bytes(head, "little") + int.from_bytes(head[::-1], "little")
+    sums = total.to_bytes(p - 2, "little")
+    n0 = sums.count(0) + sums.count(3)
+    n1 = sums.count(1) + sums.count(4)
+    n2 = sums.count(2)
     # n0 + n1*w + n2*w^2 with w^2 = -1 - w
     j_sum = EisensteinInt(n0 - n2, n1 - n2)
 

@@ -55,6 +55,10 @@ _CHARACTER_VALUE = {
 #: monic polynomials of degree <= k/2 over F_p (about p^(k/2)).
 _MAX_TRIAL_DIVISORS = 10**5
 
+#: Largest number of candidates the generator search may test.  Generators
+#: make up phi(q - 1)/(q - 1) of the units, so the search ends after a few.
+_MAX_GENERATOR_CANDIDATES = 10**4
+
 
 # ---------------------------------------------------------------------------
 # polynomials over F_p, little-endian coefficient tuples
@@ -433,12 +437,23 @@ class FieldDescriptor:
 def find_generator(field: FieldDescriptor) -> FieldElement:
     """Smallest element of multiplicative order q - 1, in base-p integer order.
 
-    Verification is exact: x has order q - 1 iff x ** (q-1) = 1 and
-    x ** ((q-1)/l) != 1 for every prime l dividing q - 1.
+    For k >= 2 the search starts at code p: the codes below p are the prime
+    subfield, whose units have order dividing p - 1 < q - 1.  Verification is
+    exact: x has order q - 1 iff x ** (q-1) = 1 and x ** ((q-1)/l) != 1 for
+    every prime l dividing q - 1.  A search that tests more than
+    ``_MAX_GENERATOR_CANDIDATES`` candidates raises ResourceError.
     """
-    for x in field.nonzero_elements():
+    start = 1 if field.k == 1 else field.p
+    stop = start + _MAX_GENERATOR_CANDIDATES
+    for code in range(start, min(stop, field.q)):
+        x = field.element_from_int(code)
         if field._has_full_order(x):
             return x
+    if stop < field.q:
+        raise ResourceError(
+            f"no generator of F_{field.q} among the {_MAX_GENERATOR_CANDIDATES} candidates "
+            f"from code {start}"
+        )
     raise IntegrityError(f"no generator found in F_{field.q}")  # unreachable
 
 

@@ -13,6 +13,14 @@ identities the closed forms rest on (Gauss-sum modulus, cubed-Gauss-sum
 decomposition, the cubic satisfied by the power sums S_h, orthogonality).
 Tolerances are chosen far below the smallest genuine signal, which is of
 order q^(3/2).
+
+Both sides work on base-p element codes through per-field tables built once
+from FieldElement arithmetic: the antilog exp[i] = code of g^i, its inverse
+log (Lidl-Niederreiter, *Finite Fields*, ch. 9), the trace and psi.  Products
+of units become index sums, g^a * g^b = exp[(a + b) mod (q - 1)], so no
+character sum multiplies field elements.  The oracle imports nothing from
+``counting`` or ``constants``, so it stays independent of the closed forms it
+checks.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, ResourceError
-from .fields import CubicClass, FieldDescriptor, FieldElement
+from .errors import DomainError, IntegrityError, ResourceError
+from .fields import FieldDescriptor, FieldElement
 
 #: Default caps for the brute-force enumerations; callers may raise them
 #: explicitly when they accept the cost.
@@ -32,12 +41,55 @@ MAX_Q = 128
 MAX_S = 8
 
 _OMEGA_C = complex(-0.5, math.sqrt(3.0) / 2.0)
-_CHI_COMPLEX = {
-    CubicClass.ZERO: 0j,
-    CubicClass.C0: 1 + 0j,
-    CubicClass.C1: _OMEGA_C,
-    CubicClass.C2: _OMEGA_C * _OMEGA_C,
-}
+#: chi(g^i) = w^(i mod 3): the cubic character with value w at the generator.
+_CHI_BY_INDEX = (1 + 0j, _OMEGA_C, _OMEGA_C * _OMEGA_C)
+
+
+class _Tables(NamedTuple):
+    """Per-field tables on base-p element codes."""
+
+    exp: tuple[int, ...]  # exp[i] = code of g^i, 0 <= i < q - 1
+    log: tuple[int | None, ...]  # log[exp[i]] = i; None at code 0
+    trace: tuple[int, ...]  # trace[code] = Tr(x) in [0, p)
+    psi: tuple[complex, ...]  # psi[code] = exp(2*pi*i*Tr(x)/p)
+
+
+@lru_cache(maxsize=64)
+def _tables(field: FieldDescriptor) -> _Tables:
+    """The field's tables, from FieldElement arithmetic only: q - 1
+    multiplications by g and the traces of the k basis elements t^j.
+
+    The trace of every other code follows by linearity.  Raises
+    IntegrityError unless exp hits every nonzero code exactly once.
+    """
+    p, q = field.p, field.q
+    exp = []
+    x = field.one
+    for _ in range(q - 1):
+        exp.append(int(x))
+        x = x * field.g
+    if sorted(exp) != list(range(1, q)):
+        raise IntegrityError(f"the powers of g = {field.g} do not run over the units of F_{q}")
+    log: list[int | None] = [None] * q
+    for i, code in enumerate(exp):
+        log[code] = i
+
+    # trace of the code c_0 + c_1*p + ... is sum of c_j * Tr(t^j), one digit at a time
+    trace = [0]
+    for j in range(field.k):
+        basis_trace = field.element_from_int(p ** j).trace()
+        trace = [(t + c * basis_trace) % p for c in range(p) for t in trace]
+    unit_roots = [cmath.exp(2j * cmath.pi * t / p) for t in range(p)]
+    psi = tuple(unit_roots[t] for t in trace)
+    return _Tables(tuple(exp), tuple(log), tuple(trace), psi)
+
+
+def _power_codes(tables: _Tables, start: int, step: int) -> Iterator[int]:
+    """Codes of g^(start + step*i) for i = 0 .. q - 2: the nonzero values of
+    h * y^step, h = g^start, as y runs over the units."""
+    exp = tables.exp
+    m = len(exp)
+    return (exp[(start + step * i) % m] for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -55,11 +107,17 @@ class CubeHistogram:
             yield self.field.element_from_int(code), count
 
 
-def cube_histogram(field: FieldDescriptor) -> CubeHistogram:
+def _scaled_cube_counts(field: FieldDescriptor, start: int) -> list[int]:
+    """counts[v] = number of x with h * x^3 = v, h = g^start."""
     counts = [0] * field.q
-    for x in field.elements():
-        counts[int(x ** 3)] += 1
-    return CubeHistogram(field=field, counts=tuple(counts))
+    counts[0] = 1  # x = 0
+    for code in _power_codes(_tables(field), start, 3):
+        counts[code] += 1
+    return counts
+
+
+def cube_histogram(field: FieldDescriptor) -> CubeHistogram:
+    return CubeHistogram(field=field, counts=tuple(_scaled_cube_counts(field, 0)))
 
 
 @lru_cache(maxsize=32)
@@ -67,10 +125,6 @@ def _add_codes(field: FieldDescriptor) -> list[list[int]]:
     """Addition on base-p element codes, tabulated once per field."""
     elems = list(field.elements())
     return [[int(a + b) for b in elems] for a in elems]
-
-
-def _neg_codes(field: FieldDescriptor) -> list[int]:
-    return [int(-x) for x in field.elements()]
 
 
 def _check_cap(field: FieldDescriptor, s: int, max_q: int, max_s: int) -> None:
@@ -130,11 +184,11 @@ def brute_twisted(
         raise DomainError("twisted counts need at least two variables")
     _check_cap(field, s, max_q, max_s)
     dist = diagonal_count_vector(field, s - 1, max_q=max_q, max_s=max_s)
-    scaled = [0] * field.q
-    for x in field.elements():
-        scaled[int(y * x ** 3)] += 1
-    neg = _neg_codes(field)
-    return sum(dv * scaled[neg[v]] for v, dv in enumerate(dist) if dv)
+    log = _tables(field).log
+    # balance[v] = number of x with v + y*x^3 = 0, i.e. with (-y)*x^3 = v;
+    # -1 has code p - 1 (its coefficient vector is (p - 1, 0, ..., 0))
+    balance = _scaled_cube_counts(field, log[int(y)] + log[field.p - 1])
+    return sum(dv * balance[v] for v, dv in enumerate(dist) if dv)
 
 
 def brute_diagonal_naive(field: FieldDescriptor, s: int, z: FieldElement) -> int:
@@ -156,22 +210,22 @@ def brute_diagonal_naive(field: FieldDescriptor, s: int, z: FieldElement) -> int
 # numeric character sums
 
 
-def _psi_table(field: FieldDescriptor) -> list[complex]:
-    """psi(x) = exp(2*pi*i*Tr(x)/p) for every x, indexed by int(x)."""
-    p = field.p
-    unit_roots = [cmath.exp(2j * cmath.pi * t / p) for t in range(p)]
-    return [unit_roots[field.element_from_int(code).trace()] for code in range(field.q)]
-
-
 def _chi_table(field: FieldDescriptor) -> list[complex]:
-    return [_CHI_COMPLEX[field.cube_class(x)] for x in field.elements()]
+    """chi(x) for every x, indexed by int(x); chi(0) = 0."""
+    log = _tables(field).log
+    return [0j] + [_CHI_BY_INDEX[log[code] % 3] for code in range(1, field.q)]
+
+
+def _psi_sum(psi: tuple[complex, ...], codes: Iterable[int]) -> complex:
+    """psi(0) plus psi at each of the given codes."""
+    return psi[0] + sum(psi[code] for code in codes)
 
 
 def gauss_sum_numeric(field: FieldDescriptor) -> complex:
     """G(chi, psi) = sum over nonzero x of chi(x) * psi(x), double precision."""
     if field.q % 3 != 1:
         raise DomainError(f"q = {field.q} = 2 (mod 3) has no cubic character")
-    psi = _psi_table(field)
+    psi = _tables(field).psi
     chi = _chi_table(field)
     return sum(chi[code] * psi[code] for code in range(1, field.q))
 
@@ -180,7 +234,7 @@ def conjugate_gauss_sum_numeric(field: FieldDescriptor) -> complex:
     """G(conj(chi), psi), evaluated directly rather than by conjugation."""
     if field.q % 3 != 1:
         raise DomainError(f"q = {field.q} = 2 (mod 3) has no cubic character")
-    psi = _psi_table(field)
+    psi = _tables(field).psi
     chi = _chi_table(field)
     return sum(chi[code].conjugate() * psi[code] for code in range(1, field.q))
 
@@ -189,8 +243,9 @@ def cubic_exp_sum_numeric(field: FieldDescriptor, h: FieldElement) -> complex:
     """S_h = sum over all y of psi(h * y^3); h nonzero."""
     if h.is_zero():
         raise DomainError("S_h is used with nonzero h")
-    psi = _psi_table(field)
-    return sum(psi[int(h * y ** 3)] for y in field.elements())
+    tables = _tables(field)
+    # y = 0 gives psi(0); y = g^i gives psi(g^(log h + 3i))
+    return _psi_sum(tables.psi, _power_codes(tables, tables.log[int(h)], 3))
 
 
 def jacobi_sum_numeric(field: FieldDescriptor) -> complex:
@@ -215,11 +270,12 @@ class OrthogonalityReport:
 
 def orthogonality_check(field: FieldDescriptor, tolerance: float = 1e-6) -> OrthogonalityReport:
     """sum over a of psi(a*x) must be q at x = 0 and 0 elsewhere."""
-    psi = _psi_table(field)
-    elems = list(field.elements())
+    tables = _tables(field)
+    q = field.q
     worst = 0.0
-    for x in elems:
-        total = sum(psi[int(a * x)] for a in elems)
-        expected = field.q if x.is_zero() else 0
-        worst = max(worst, abs(total - expected))
+    for code in range(q):
+        # a = 0 gives psi(0); a = g^i gives a*x = 0 at x = 0, else g^(log x + i)
+        products = repeat(0, q - 1) if code == 0 else _power_codes(tables, tables.log[code], 1)
+        total = _psi_sum(tables.psi, products)
+        worst = max(worst, abs(total - (q if code == 0 else 0)))
     return OrthogonalityReport(ok=worst <= tolerance, max_error=worst, tolerance=tolerance)

@@ -191,3 +191,27 @@ class TestCornacchiaRoute:
         (p, message), = scan.observed
         assert p == 31
         assert "Cornacchia route gives -1-6*w" in message and "direct sum gives 5+6*w" in message
+
+
+class TestDirectSumDefinition:
+    """The direct sum against its definition, independent of the Cornacchia
+    route and of the witness's discrete-log walk and tally."""
+
+    def test_equals_definition_below_3000(self):
+        scanned = 0
+        for p in primes_up_to(3000):
+            if p % 3 != 1:
+                continue
+            gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+            e = (p - 1) // 3
+            # chi(x) = w^i where x^((p-1)/3) = t^i, t = gen^((p-1)/3)
+            t = pow(gen, e, p)
+            power_of_t = {1: 0, t: 1, t * t % p: 2}
+            ind = [None] + [power_of_t[pow(x, e, p)] for x in range(1, p)]
+            terms = [0, 0, 0]  # terms[i] = number of x with chi(x) * chi(1 - x) = w^i
+            for x in range(2, p):
+                terms[(ind[x] + ind[1 - x + p]) % 3] += 1
+            total = sum((n * eisenstein.OMEGA ** i for i, n in enumerate(terms)), EisensteinInt(0, 0))
+            assert jacobi_sum_direct(p, gen) == total, p
+            scanned += 1
+        assert scanned == 207

@@ -1,3 +1,7 @@
+import json
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +15,7 @@ from diagcubic import (
     make_field,
     parse_element,
     parse_field,
+    verify,
 )
 from diagcubic import fields as fields_module
 from diagcubic.ntheory import prime_factors
@@ -273,3 +278,67 @@ class TestTrialDivisionCap:
         # the modulus length is checked before q = p^k is formed
         with pytest.raises(DomainError):
             make_field(2, 10**9, modulus=(1, 1))
+
+
+def _golden_cli_fields():
+    """(p, k, modulus) of every valid field the golden CLI records construct
+    with the default generator."""
+    out = set()
+    for record in json.loads((Path(__file__).parent / "golden_cli.json").read_text()):
+        argv = record["argv"]
+        opts = dict(zip(argv[1::2], argv[2::2])) if len(argv) > 1 else {}
+        if "--p" not in opts or "--generator" in opts:
+            continue
+        p, k = int(opts["--p"]), int(opts.get("--k", 1))
+        modulus = tuple(int(c) for c in opts["--modulus"].split(",")) if "--modulus" in opts else None
+        try:
+            make_field(p, k, modulus)
+        except DomainError:
+            continue  # the records of invalid fields
+        out.add((p, k, modulus))
+    return sorted(out, key=str)
+
+
+def _full_walk_generator(field):
+    """First code from 1 up whose element has order q - 1."""
+    n = field.q - 1
+    for code in range(1, field.q):
+        x = field.element_from_int(code)
+        if all(x ** (n // ell) != field.one for ell in prime_factors(n)):
+            return x
+    raise AssertionError(f"no generator of F_{field.q}")
+
+
+class TestGeneratorSearch:
+    FIELDS = sorted(
+        {(p, k, None) for p, k in verify.SUPPORTED_FIELDS.values()}
+        | {(97, 2, None), (13, 4, None), (7, 6, None), (2, 10, None), (11, 3, None)}
+        | set(_golden_cli_fields()),
+        key=str,
+    )
+
+    def test_golden_fields_found(self):
+        assert (7, 2, (1, 0, 1)) in _golden_cli_fields() and (10009, 1, None) in _golden_cli_fields()
+
+    @pytest.mark.parametrize("p, k, modulus", FIELDS, ids=str)
+    def test_skip_matches_full_walk(self, p, k, modulus):
+        field = make_field(p, k, modulus)
+        assert field.g == _full_walk_generator(field)
+
+    def test_large_prime_square(self):
+        # the full walk would test all 99,990 nonzero prime-subfield elements first
+        start = time.perf_counter()
+        field = make_field(99991, 2)
+        elapsed = time.perf_counter() - start
+        assert str(field.g) == "5,1" and int(field.g) == 99996
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (7, 2)])
+    def test_candidate_cap_boundary(self, monkeypatch, p, k):
+        g_code = int(make_field(p, k).g)  # 3 over F_7 and 9 = (2, 1) over F_49, each tried third
+        tried = g_code if k == 1 else g_code - p + 1
+        monkeypatch.setattr(fields_module, "_MAX_GENERATOR_CANDIDATES", tried)
+        assert int(make_field(p, k).g) == g_code
+        monkeypatch.setattr(fields_module, "_MAX_GENERATOR_CANDIDATES", tried - 1)
+        with pytest.raises(ResourceError):
+            make_field(p, k)

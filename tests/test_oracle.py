@@ -1,11 +1,14 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import pytest
 
 from diagcubic import (
     CubicClass,
     DomainError,
+    IntegrityError,
     ResourceError,
     brute_diagonal,
     brute_diagonal_naive,
@@ -18,7 +21,9 @@ from diagcubic import (
     jacobi_sum_cubic,
     jacobi_sum_numeric,
     make_field,
+    oracle,
     orthogonality_check,
+    verify,
 )
 from diagcubic.oracle import conjugate_gauss_sum_numeric
 
@@ -177,3 +182,98 @@ class TestOrthogonality:
         report = orthogonality_check(make_field(p, k))
         assert report
         assert report.max_error <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the table route against the FieldElement route it replaced
+
+TABLE_FIELDS = [(2, 2), (7, 1), (13, 1), (2, 4), (5, 2), (7, 2), (2, 6), (5, 1), (2, 3), (127, 1)]
+
+
+def _psi_by_element(field):
+    """psi(x) = exp(2*pi*i*Tr(x)/p) from FieldElement.trace(), keyed by code."""
+    return [cmath.exp(2j * cmath.pi * x.trace() / field.p) for x in field.elements()]
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+class TestTableRoute:
+    def test_cube_histogram(self, p, k):
+        field = make_field(p, k)
+        counts = [0] * field.q
+        for x in field.elements():
+            counts[int(x ** 3)] += 1
+        assert cube_histogram(field).counts == tuple(counts)
+
+    def test_trace_and_psi(self, p, k):
+        field = make_field(p, k)
+        tables = oracle._tables(field)
+        assert list(tables.trace) == [x.trace() for x in field.elements()]
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(tables.psi, _psi_by_element(field), strict=True))
+
+    def test_exp_and_log(self, p, k):
+        field = make_field(p, k)
+        tables = oracle._tables(field)
+        x = field.one
+        for i in range(field.q - 1):
+            assert tables.exp[i] == int(x) and tables.log[int(x)] == i
+            x = x * field.g
+
+    def test_cubic_exp_sums(self, p, k):
+        field = make_field(p, k)
+        psi = _psi_by_element(field)
+        cubes = [x ** 3 for x in field.elements()]
+        for h in field.nonzero_elements():
+            expected = sum(psi[int(h * c)] for c in cubes)
+            assert abs(cubic_exp_sum_numeric(field, h) - expected) <= 1e-9
+
+    def test_brute_twisted(self, p, k):
+        # T_s(y) = N_{s-1}(0) + (q - 1) * N_{s-1}(y): x_s = 0, or x_s a unit and
+        # N_{s-1}(-y * x_s^3) = N_{s-1}(y), since -x_s^3 is a nonzero cube
+        field = make_field(p, k)
+        for s in (2, 3):
+            vector = diagonal_count_vector(field, s - 1)
+            for y in field.nonzero_elements():
+                assert brute_twisted(field, s, y) == vector[0] + (field.q - 1) * vector[int(y)]
+
+
+def test_tables_refuse_a_non_generator(monkeypatch):
+    field = make_field(7)
+    monkeypatch.setattr(field, "g", field.element([2]))  # order 3, not 6
+    with pytest.raises(IntegrityError):
+        oracle._tables(field)
+    with pytest.raises(IntegrityError):
+        cube_histogram(field)
+
+
+def test_full_report_builds_each_table_once(monkeypatch):
+    touched = set()
+    cached = oracle._tables
+
+    def recording(field):
+        touched.add(field)
+        return cached(field)
+
+    cached.cache_clear()
+    monkeypatch.setattr(oracle, "_tables", recording)
+    report = verify.full_report(jacobi_bound=100)
+    assert report["failed"] == 0
+    info = cached.cache_info()
+    assert info.misses == len(touched) == info.currsize
+    assert info.hits > 0
+
+
+def test_oracle_imports_only_errors_and_fields():
+    # the oracle must not read the closed forms (counting, constants) it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package_imports.add(node.module or "")
+            elif (node.module or "").startswith("diagcubic"):
+                package_imports.add(node.module.removeprefix("diagcubic").lstrip("."))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("diagcubic"):
+                    package_imports.add(alias.name.removeprefix("diagcubic").lstrip("."))
+    assert package_imports == {"errors", "fields"}

@@ -162,13 +162,13 @@ def _resolve_target(field: FieldDescriptor, text: str) -> tuple[CubicClass, str,
     if keyword in _CLASS_KEYWORDS:
         cls = _CLASS_KEYWORDS[keyword]
         if cls in NONCUBIC_CLASSES and field.q % 3 != 1:
-            raise DomainError(f"classes c1/c2 are undefined for q = {field.q} = 2 (mod 3)")
+            raise DomainError(f"classes c1/c2 are undefined for q = {field.q} = {field.q % 3} (mod 3)")
         return cls, keyword, {}
     z = parse_element(field, text)
     if z.is_zero():
         return CubicClass.ZERO, str(z), {"cubic_class": "zero"}
     if field.q % 3 != 1:
-        return CubicClass.C0, str(z), {"cubic_class": "cube (q = 2 mod 3)"}
+        return CubicClass.C0, str(z), {"cubic_class": f"cube (q = {field.q % 3} mod 3)"}
     cls = field.cube_class(z)
     return cls, str(z), {"cubic_class": cls.value}
 
@@ -194,7 +194,7 @@ def _run_count(args) -> tuple[dict, int]:
     if args.y is not None:
         if field.q % 3 != 1:
             raise DomainError(
-                f"every element of F_{field.q} is a cube (q = 2 mod 3): no non-cubic coefficient exists"
+                f"every element of F_{field.q} is a cube (q = {field.q % 3} mod 3): no non-cubic coefficient exists"
             )
         cls, label, extra = _resolve_target(field, args.y)
         data = cubic_data(field)

@@ -79,7 +79,7 @@ def cd_search(q: int, p: int) -> tuple[int, int]:
     before the loop.
     """
     if q % 3 != 1:
-        raise DomainError(f"q = {q} = 2 (mod 3) has no (c, d) representation")
+        raise DomainError(f"q = {q} = {q % 3} (mod 3) has no (c, d) representation")
     loops = isqrt(4 * q // 27) + 1
     if loops > _MAX_CD_SEARCH_LOOPS:
         raise ResourceError(
@@ -148,7 +148,7 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
     """
     q, p, k = field.q, field.p, field.k
     if q % 3 != 1:
-        raise DomainError(f"q = {q} = 2 (mod 3): the counting constants are not defined")
+        raise DomainError(f"q = {q} = {q % 3} (mod 3): the counting constants are not defined")
     if p % 3 == 1:
         j_sum = jacobi_sum_cubic(p, field.g.norm())
         c, d = cd_search(q, p)
@@ -181,14 +181,20 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
 
 def _check_invariants(data: CubicData) -> None:
     c, d, m, q = data.c, data.d, data.gauss_cubed_over_q, data.q
+    # (c, d) comes from cd_search; M from the Jacobi sum, or from c when p = 2 (mod 3)
+    m_route = "the Jacobi sum" if data.r1 is not None else "c/2 (p = 2 mod 3)"
     if (c - d) % 2 != 0:
-        raise IntegrityError(f"c = {c} and d = {d} have opposite parity")
+        raise IntegrityError(f"cd_search gives c = {c} and d = {d} of opposite parity for q = {q}")
     if (d == 0) != (data.theta == 0):
-        raise IntegrityError(f"d = {d} but theta = {data.theta}")
+        raise IntegrityError(
+            f"cd_search gives d = {d} but M = {m} from {m_route} gives theta = {data.theta} for q = {q}"
+        )
     # M + conj(M) = c and |M|^2 = q, the exact restatements of the
     # Gauss-cube identities that the counting seeds depend on.
     total = m + m.conjugate()
     if total.b != 0 or total.a != c:
-        raise IntegrityError(f"M + conj(M) = {total}, expected {c}")
+        raise IntegrityError(
+            f"M + conj(M) = {total} for M = {m} from {m_route}, but cd_search gives c = {c} for q = {q}"
+        )
     if m.norm() != q:
-        raise IntegrityError(f"|M|^2 = {m.norm()}, expected {q}")
+        raise IntegrityError(f"|M|^2 = {m.norm()} for M = {m} from {m_route}, but q = {q}")

@@ -26,10 +26,14 @@ computed in O(log s) multiplications: x^(s-1) modulo the characteristic
 polynomial x^3 - 3q*x - qc by square-and-multiply (Fiduccia, "An efficient
 formula for linear recurrences", SIAM J. Comput. 1985) gives
 x^(s-1) = r0 + r1*x + r2*x^2, and then u_s = r0*u_1 + r1*u_2 + r2*u_3.
-Series windows need every term and stay on the linear recurrence walk.
+Each single count raises q to a power once; a twisted count shares one power
+of x and one power of q between its two diagonal counts.  A series window of
+n terms costs n recurrence steps plus n multiplications by q (the running
+power q^(s-1) is carried along the walk), with no per-term power.
 
-For q = 2 (mod 3) the cube map is a bijection and every count is q^(s-1);
-see :func:`bijective_count`.
+For q = 2 (mod 3) the cube map is a bijection and every count is q^(s-1).  So
+it is in characteristic 3, where cubing is the Frobenius automorphism; see
+:func:`bijective_count`.
 
 Class labels C1/C2 are relative to the field's chosen generator (swapping g
 for a generator of the other coset swaps them, and flips theta with them), so
@@ -39,6 +43,7 @@ counts keyed to a concrete element z are generator-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .constants import CubicData, cd_search, delta
@@ -79,9 +84,20 @@ def _recurrence(seeds: tuple[int, int, int], q: int, c: int) -> Iterator[int]:
     yield x1
     yield x2
     yield x3
+    three_q, qc = 3 * q, q * c
     while True:
-        x1, x2, x3 = x2, x3, 3 * q * x2 + q * c * x1
+        x1, x2, x3 = x2, x3, three_q * x2 + qc * x1
         yield x3
+
+
+def _window(seeds: tuple[int, int, int], q: int, c: int, q_power: int, n: int) -> tuple[int, ...]:
+    """n terms q_power * q^i + x_{i+1} (i = 0..n-1) of the recurrence from
+    seeds, carrying the power of q along the walk."""
+    terms = []
+    for excess in islice(_recurrence(seeds, q, c), n):
+        terms.append(q_power + excess)
+        q_power *= q
+    return tuple(terms)
 
 
 def _x_power(n: int, q: int, c: int) -> tuple[int, int, int]:
@@ -137,24 +153,28 @@ def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: st
         raise DomainError("s must be nonnegative")
     if s == 0:
         return 1 if target is CubicClass.ZERO else 0
-    return _count_from(data, _x_power(s - 1, data.q, data.c), s, target, theta_source)
+    q = data.q
+    return _count_from(data, _x_power(s - 1, q, data.c), q ** (s - 1), s, target, theta_source)
 
 
 def _count_from(
-    data: CubicData, power: tuple[int, int, int], s: int, target: CubicClass, theta_source: str
+    data: CubicData, power: tuple[int, int, int], q_power: int, s: int, target: CubicClass, theta_source: str
 ) -> int:
-    """N_s (s >= 1) from power = x^(s-1) modulo the characteristic polynomial."""
-    value = data.q ** (s - 1) + _term(power, _seeds(data, target, theta_source))
+    """N_s (s >= 1) from power = x^(s-1) modulo the characteristic polynomial
+    and q_power = q^(s-1)."""
+    value = q_power + _term(power, _seeds(data, target, theta_source))
     if value < 0:
         raise IntegrityError(f"negative count {value} for s = {s}, target {target}")
     return value
 
 
 def bijective_count(q: int, s: int, zero_target: bool) -> int:
-    """Counts for q = 2 (mod 3), where cubing is a bijection: q^(s-1) for
-    every target and s >= 1 (s = 0 follows the empty-tuple convention)."""
-    if q % 3 != 2:
-        raise DomainError(f"q = {q} is not 2 (mod 3)")
+    """Counts for q != 1 (mod 3), where cubing is a bijection (for q = 2 (mod 3)
+    because gcd(3, q - 1) = 1, in characteristic 3 because it is the Frobenius
+    map): q^(s-1) for every target and s >= 1 (s = 0 follows the empty-tuple
+    convention)."""
+    if q % 3 == 1:
+        raise DomainError(f"q = {q} = 1 (mod 3): cubing is not a bijection")
     if s < 0:
         raise DomainError("s must be nonnegative")
     if s == 0:
@@ -169,9 +189,10 @@ def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str 
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if s < 2:
         raise DomainError("twisted counts need at least two variables")
-    power = _x_power(s - 2, data.q, data.c)  # shared by both N_{s-1}
-    zero_count = _count_from(data, power, s - 1, CubicClass.ZERO, theta_source)
-    return zero_count + (data.q - 1) * _count_from(data, power, s - 1, y_cls, theta_source)
+    q = data.q
+    power, q_power = _x_power(s - 2, q, data.c), q ** (s - 2)  # shared by both N_{s-1}
+    zero_count = _count_from(data, power, q_power, s - 1, CubicClass.ZERO, theta_source)
+    return zero_count + (q - 1) * _count_from(data, power, q_power, s - 1, y_cls, theta_source)
 
 
 def twisted3_closed(data: CubicData, y_cls: CubicClass, theta_source: str = "exact") -> int:
@@ -189,8 +210,7 @@ def diagonal_series(data: CubicData, target: CubicClass, n: int, theta_source: s
     generated by the integer recurrence (never by power-series division)."""
     if n < 1:
         raise DomainError("need at least one coefficient")
-    stream = _recurrence(_seeds(data, target, theta_source), data.q, data.c)
-    coeffs = tuple(data.q ** s_idx + next(stream) for s_idx in range(n))
+    coeffs = _window(_seeds(data, target, theta_source), data.q, data.c, 1, n)
     return SeriesWindow(target=target, coefficients=coeffs, constants=data)
 
 
@@ -206,9 +226,7 @@ def twisted_series(data: CubicData, y_cls: CubicClass, n: int, theta_source: str
     if numerator % 2 != 0:
         raise IntegrityError(f"half-integer twisted seed for q = {q} under theta source {theta_source!r}")
     v1 = -(q - 1)
-    seeds = (v1, -numerator // 2, 3 * q * v1)
-    stream = _recurrence(seeds, q, c)
-    return tuple(q ** (s_idx + 1) + next(stream) for s_idx in range(n))
+    return _window((v1, -numerator // 2, 3 * q * v1), q, c, q, n)
 
 
 def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
@@ -225,7 +243,7 @@ def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
         raise DomainError("the mod-4 rule is stated over prime fields")
     p = field.p
     if p % 3 != 1:
-        raise DomainError(f"p = {p} = 2 (mod 3): no non-cubic elements")
+        raise DomainError(f"p = {p} = {p % 3} (mod 3): no non-cubic elements")
     if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"y must be non-cubic, got {y_cls}")
     two = field.element([2])
@@ -235,7 +253,10 @@ def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
     cls_four = field.cube_class(two * two)
     c, d = cd_search(p, p)
     if d % 2 == 0:
-        raise IntegrityError(f"even d = {d} with 2 non-cubic over F_{p}")
+        raise IntegrityError(
+            f"cd_search gives even d = {d} over F_{p}, but cube_class puts 2 in {cls_two}, "
+            f"not c0: d is even exactly when 2 is a cube"
+        )
     if y_cls is cls_two:
         wanted = c % 4
     elif y_cls is cls_four:

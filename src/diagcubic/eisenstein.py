@@ -133,7 +133,7 @@ def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 3 != 1:
-        raise DomainError(f"no cubic character mod {p}: p = 2 (mod 3)")
+        raise DomainError(f"no cubic character mod {p}: p = {p % 3} (mod 3)")
     _verify_generator_mod_p(gen, p)
 
     solution = cornacchia4(27, p)
@@ -173,7 +173,7 @@ def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 3 != 1:
-        raise DomainError(f"no cubic character mod {p}: p = 2 (mod 3)")
+        raise DomainError(f"no cubic character mod {p}: p = {p % 3} (mod 3)")
     _verify_generator_mod_p(gen, p)
 
     # index[x] = ind(x) mod 3, walking x = gen^j three steps at a time (3 | p - 1)

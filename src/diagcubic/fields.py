@@ -387,7 +387,7 @@ class FieldDescriptor:
         of unity and equals (g ** ((q-1)/3)) ** i exactly for the class index i.
         """
         if self.q % 3 != 1:
-            raise DomainError(f"q = {self.q} = 2 (mod 3): every element is a cube, classes are undefined")
+            raise DomainError(f"q = {self.q} = {self.q % 3} (mod 3): every element is a cube, classes are undefined")
         if z.is_zero():
             return CubicClass.ZERO
         w = z ** ((self.q - 1) // 3)

@@ -224,7 +224,7 @@ def _psi_sum(psi: tuple[complex, ...], codes: Iterable[int]) -> complex:
 def gauss_sum_numeric(field: FieldDescriptor) -> complex:
     """G(chi, psi) = sum over nonzero x of chi(x) * psi(x), double precision."""
     if field.q % 3 != 1:
-        raise DomainError(f"q = {field.q} = 2 (mod 3) has no cubic character")
+        raise DomainError(f"q = {field.q} = {field.q % 3} (mod 3) has no cubic character")
     psi = _tables(field).psi
     chi = _chi_table(field)
     return sum(chi[code] * psi[code] for code in range(1, field.q))
@@ -233,7 +233,7 @@ def gauss_sum_numeric(field: FieldDescriptor) -> complex:
 def conjugate_gauss_sum_numeric(field: FieldDescriptor) -> complex:
     """G(conj(chi), psi), evaluated directly rather than by conjugation."""
     if field.q % 3 != 1:
-        raise DomainError(f"q = {field.q} = 2 (mod 3) has no cubic character")
+        raise DomainError(f"q = {field.q} = {field.q % 3} (mod 3) has no cubic character")
     psi = _tables(field).psi
     chi = _chi_table(field)
     return sum(chi[code].conjugate() * psi[code] for code in range(1, field.q))

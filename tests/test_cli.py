@@ -385,3 +385,29 @@ class TestArgvFuzz:
             assert out.endswith("\n") and all("\t" in line for line in out.splitlines())
         else:
             assert set(_one_json_object(out)) == {"query", "result", "warnings"}
+
+
+class TestCharacteristicThree:
+    """Fields of characteristic 3 are answered, and refusals print the true residue."""
+
+    def test_count_answered(self, capsys):
+        code, out = run_cli(capsys, "count", "--p", "3", "--k", "4", "--s", "3", "--z", "zero")
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == 81 ** 2
+
+    def test_element_label(self, capsys):
+        code, out = run_cli(capsys, "count", "--p", "3", "--k", "2", "--s", "3", "--z", "1,1")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["cubic_class"], result["value"]) == ("cube (q = 0 mod 3)", 81)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("constants", "--p", "3", "--k", "2"), "q = 9 = 0 (mod 3): the counting constants are not defined"),
+        (("count", "--p", "3", "--s", "2", "--z", "c1"), "classes c1/c2 are undefined for q = 3 = 0 (mod 3)"),
+        (("count", "--p", "3", "--k", "3", "--s", "2", "--y", "1,0,0"),
+         "every element of F_27 is a cube (q = 0 mod 3): no non-cubic coefficient exists"),
+    ])
+    def test_refusal_messages(self, capsys, argv, message):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == message

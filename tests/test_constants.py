@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -231,3 +232,29 @@ class TestCdSearchCap:
         # Cornacchia gives J, the witness needs 384,900 steps and agrees
         data = cubic_data(make_field(1_000_000_000_039))
         assert (data.c, data.d, data.r1, data.r2, data.theta) == (-320657, 379921, -320657, -379921, -1)
+
+
+class TestInvariantMessages:
+    """Each invariant error names the route of each side and both values."""
+
+    @pytest.mark.parametrize("pair, message", [
+        ((4, 1), r"cd_search gives c = 4 and d = 1 of opposite parity for q = 4"),
+        ((4, 2), r"cd_search gives d = 2 but M = 2\+0\*w from c/2 \(p = 2 mod 3\) gives theta = 0 for q = 4"),
+    ])
+    def test_cd_search_side(self, monkeypatch, pair, message):
+        monkeypatch.setattr(constants_module, "cd_search", lambda q, p: pair)
+        with pytest.raises(IntegrityError, match=message):
+            cubic_data(make_field(2, 2))
+
+    def test_real_part(self):
+        data = replace(cubic_data(make_field(7)), gauss_cubed_over_q=EisensteinInt(0, -3))
+        with pytest.raises(IntegrityError, match=(
+            r"M \+ conj\(M\) = 3\+0\*w for M = 0-3\*w from the Jacobi sum, but cd_search gives c = 1 for q = 7"
+        )):
+            constants_module._check_invariants(data)
+
+    def test_norm(self):
+        # M = -1-3w moved to 0-1w keeps 2a - b = 1 = c but not |M|^2 = 7
+        data = replace(cubic_data(make_field(7)), gauss_cubed_over_q=EisensteinInt(0, -1))
+        with pytest.raises(IntegrityError, match=r"\|M\|\^2 = 1 for M = 0-1\*w from the Jacobi sum, but q = 7"):
+            constants_module._check_invariants(data)

@@ -17,6 +17,8 @@ from diagcubic import (
     twisted3_closed,
     twisted_series,
 )
+from diagcubic import counting as counting_module
+from diagcubic.oracle import brute_diagonal
 from diagcubic.verify import SUPPORTED_FIELDS
 
 C0, C1, C2, ZERO = CubicClass.C0, CubicClass.C1, CubicClass.C2, CubicClass.ZERO
@@ -230,3 +232,21 @@ class TestSignedDMod4:
             signed_d_mod4(make_field(5), C1)  # p = 2 (mod 3)
         with pytest.raises(DomainError):
             signed_d_mod4(make_field(7), C0)
+
+
+class TestCharacteristicThree:
+    """Cubing is the Frobenius map in characteristic 3, so every count is q^(s-1)."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_equals_convolution(self, k):
+        field = make_field(3, k)
+        for s in (1, 2, 3):
+            for z in field.elements():
+                assert bijective_count(field.q, s, z.is_zero()) == brute_diagonal(field, s, z)
+
+
+class TestSignedDMod4Message:
+    def test_even_d_names_both_routes(self, monkeypatch, f7):
+        monkeypatch.setattr(counting_module, "cd_search", lambda q, p: (1, 2))
+        with pytest.raises(IntegrityError, match=r"cd_search gives even d = 2 over F_7, but cube_class puts 2 in c[12]"):
+            signed_d_mod4(f7, C1)

@@ -1,5 +1,7 @@
 """Differential tests of the O(log s) single-count route against the linear
-recurrence stream it replaced, and against the series windows."""
+recurrence stream it replaced, and against the series windows; and of the
+series windows and twisted counts, which carry one power of q, against a
+fresh power of q per term."""
 
 from itertools import islice
 
@@ -12,12 +14,13 @@ from diagcubic import (
     count_diagonal,
     count_twisted,
     cubic_data,
+    delta,
     diagonal_series,
     make_field,
     twisted_series,
 )
 from diagcubic.constants import cd_search
-from diagcubic.counting import _recurrence, _term, _x_power
+from diagcubic.counting import _recurrence, _seeds, _term, _x_power
 from diagcubic.fields import NONCUBIC_CLASSES
 
 #: q -> its characteristic p, for q = 1 (mod 3); c comes from the (c, d) search.
@@ -55,3 +58,35 @@ def test_count_is_last_series_coefficient(data, n):
 def test_twisted_count_is_last_twisted_series_term(data, n):
     for cls in NONCUBIC_CLASSES:
         assert count_twisted(data, n + 1, cls) == twisted_series(data, cls, n)[-1]
+
+
+#: Window lengths for the running-power checks; shorter windows end on the seeds.
+WINDOWS = (1, 2, 3, 4, 300)
+
+
+@pytest.mark.parametrize("n", WINDOWS)
+def test_diagonal_series_equals_fresh_powers(data, n):
+    q, c = data.q, data.c
+    for cls in CLASSES:
+        stream = _recurrence(_seeds(data, cls, "exact"), q, c)
+        expected = tuple(q ** i + next(stream) for i in range(n))
+        assert diagonal_series(data, cls, n).coefficients == expected
+
+
+@pytest.mark.parametrize("n", WINDOWS)
+def test_twisted_series_equals_fresh_powers(data, n):
+    q, c, d = data.q, data.c, data.d
+    for cls in NONCUBIC_CLASSES:
+        v1 = -(q - 1)
+        v2 = -(q - 1) * (c + 9 * d * delta(data, cls)) // 2
+        stream = _recurrence((v1, v2, 3 * q * v1), q, c)
+        expected = tuple(q ** (i + 1) + next(stream) for i in range(n))
+        assert twisted_series(data, cls, n) == expected
+
+
+@pytest.mark.parametrize("s", (2, 3, 4, 1000, 20000))
+def test_twisted_count_from_two_diagonal_counts(data, s):
+    q = data.q
+    zero_count = count_diagonal(data, s - 1, CubicClass.ZERO)
+    for cls in NONCUBIC_CLASSES:
+        assert count_twisted(data, s, cls) == zero_count + (q - 1) * count_diagonal(data, s - 1, cls)

@@ -342,3 +342,8 @@ class TestGeneratorSearch:
         monkeypatch.setattr(fields_module, "_MAX_GENERATOR_CANDIDATES", tried - 1)
         with pytest.raises(ResourceError):
             make_field(p, k)
+
+
+def test_characteristic_three_classes_refusal_prints_true_residue(f9):
+    with pytest.raises(DomainError, match=r"^q = 9 = 0 \(mod 3\): every element is a cube"):
+        f9.cube_class(f9.one)

@@ -10,8 +10,11 @@ carries floating-point errors.  The p ~ 10^12 constants call is answered
 since the Jacobi sum is found by Cornacchia (tests/test_cli.py pins its
 values); `test_refusal_unchanged` pins the exit code and error type of
 requests refused by a size cap (the message may be reworded).
+`test_long_window_unchanged` pins the SHA-256 of two 400-term series
+windows, recorded before the series walk carried its power of q along.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -41,3 +44,18 @@ def test_refusal_unchanged(capsys, argv, code, kind):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert json.loads(out)["error"]["type"] == kind
+
+
+#: Long series windows and the SHA-256 of their stdout.
+LONG_WINDOWS = [
+    (["series", "--p", "13", "--k", "4", "--z", "c1", "--n-terms", "400"],
+     "a4cbe4ad28ab66a5aa3a4bb1e45b35f1d7ceb309a96390c55e5823f136d5b567"),
+    (["series", "--p", "7", "--k", "2", "--y", "c2", "--n-terms", "400", "--format", "tsv"],
+     "b239f4e76336a3c1862851c755a64ab700f359d192c02387422c8e641b586449"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", LONG_WINDOWS, ids=[" ".join(argv) for argv, _ in LONG_WINDOWS])
+def test_long_window_unchanged(capsys, argv, digest):
+    assert cli.main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

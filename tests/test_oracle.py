@@ -277,3 +277,8 @@ def test_oracle_imports_only_errors_and_fields():
                 if alias.name.startswith("diagcubic"):
                     package_imports.add(alias.name.removeprefix("diagcubic").lstrip("."))
     assert package_imports == {"errors", "fields"}
+
+
+def test_characteristic_three_refusal_prints_true_residue(f9):
+    with pytest.raises(DomainError, match=r"^q = 9 = 0 \(mod 3\) has no cubic character$"):
+        gauss_sum_numeric(f9)

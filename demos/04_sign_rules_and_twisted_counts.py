@@ -10,6 +10,7 @@ long-open case of 2 cubic (p = 31 is the first such prime).
 from diagcubic import (
     CubicClass,
     brute_twisted,
+    count_diagonal,
     count_twisted,
     cubic_data,
     delta,
@@ -44,8 +45,9 @@ for p in primes_up_to(100):
     exact = [-delta(data, cls) * data.d for cls in (CubicClass.C1, CubicClass.C2)]
     print(f"{p:>4} {data.c:>4} {data.d:>2}   {mod4!s:>17}   {exact!s:>17}")
 
-print("\n== twisted series straight from the generating function ==")
+print("\n== twisted series from the seeds v_i = w_i + (q-1) u_i(y) ==")
 stream = twisted_series(d31, CubicClass.C1, 6)
 print("T_s(g) over F_31, s = 2..7:", list(stream))
 print("cross-check via T_s = N_{s-1}(0) + (q-1) N_{s-1}(y):",
-      [count_twisted(d31, s, CubicClass.C1) for s in range(2, 8)])
+      [count_diagonal(d31, s - 1, CubicClass.ZERO) + (d31.q - 1) * count_diagonal(d31, s - 1, CubicClass.C1)
+       for s in range(2, 8)])

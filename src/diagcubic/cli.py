@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -278,41 +279,48 @@ def _tsv_lines(result: dict) -> list[str]:
     return [f"{key}\t{result[key]}" for key in sorted(result)]
 
 
-def _emit(payload: dict, fmt: str) -> None:
+def _render(payload: dict, fmt: str) -> str:
     # Python >= 3.11 converts at most 4300 digits by default (0 means no limit);
     # every count under the output cap prints exactly
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if 0 < limit < _MAX_OUTPUT_DIGITS:
         sys.set_int_max_str_digits(_MAX_OUTPUT_DIGITS)
     if fmt == "tsv":
-        print("\n".join(_tsv_lines(payload["result"])))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+        return "\n".join(_tsv_lines(payload["result"]))
+    return json.dumps(payload, sort_keys=True)
 
 
-def _error(kind: str, message: str) -> None:
-    print(json.dumps({"error": {"type": kind, "message": message}}, sort_keys=True))
+def _error(kind: str, message: str) -> str:
+    return json.dumps({"error": {"type": kind, "message": message}}, sort_keys=True)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _respond(argv: list[str] | None) -> tuple[str, int]:
+    """The text to print and the exit code for one invocation."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         payload, code = _HANDLERS[args.command](args)
-        _emit(payload, args.format)
-        return code
+        return _render(payload, args.format), code
     except DomainError as exc:
-        _error("validation", str(exc))
-        return 2
+        return _error("validation", str(exc)), 2
     except ResourceError as exc:
-        _error("resource", str(exc))
-        return 2
+        return _error("resource", str(exc)), 2
     except IntegrityError as exc:
-        _error("integrity", str(exc))
-        return 3
+        return _error("integrity", str(exc)), 3
     except Exception as exc:  # anything else is a bug: one JSON error, never a traceback
-        _error("internal", f"{type(exc).__name__}: {exc}")
-        return 3
+        return _error("internal", f"{type(exc).__name__}: {exc}"), 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    text, code = _respond(argv)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, so that the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -16,18 +16,18 @@ module and all half-integer expressions combined into exact integers:
     non-cube, class C1:  u1 = -1,  u2 = (-4 - c + 9d*theta)/2, u3 = -3q - c
     non-cube, class C2:  u1 = -1,  u2 = (-4 - c - 9d*theta)/2, u3 = -3q - c
 
-The twisted counts follow from T_s(y) = N_{s-1}(0) + (q-1) N_{s-1}(y) and,
-independently, from their own generating function: v_s = T_{s+1}(y) - q^s has
-seeds v1 = -(q-1), v2 = -(q-1)(c + 9d*delta_y)/2, v3 = 3q*v1 and the same
-recurrence, where delta_y = -theta for class C1 and +theta for class C2.
+The twisted counts follow from T_s(y) = N_{s-1}(0) + (q-1) N_{s-1}(y): the
+deviation v_i = T_{i+1}(y) - q^i equals w_i + (q-1) u_i(y) term by term, with
+w_i = N_i(0) - q^(i-1), so it obeys the same recurrence from the seeds
+v_i = w_i + (q-1) u_i (i = 1, 2, 3), and theta enters the twisted counts only
+through the diagonal seeds.
 
 A single count N_s or T_s is the s-th term of that order-3 recurrence and is
 computed in O(log s) multiplications: x^(s-1) modulo the characteristic
 polynomial x^3 - 3q*x - qc by square-and-multiply (Fiduccia, "An efficient
 formula for linear recurrences", SIAM J. Comput. 1985) gives
 x^(s-1) = r0 + r1*x + r2*x^2, and then u_s = r0*u_1 + r1*u_2 + r2*u_3.
-Each single count raises q to a power once; a twisted count shares one power
-of x and one power of q between its two diagonal counts.  A series window of
+Each single count raises x and q to a power once.  A series window of
 n terms costs n recurrence steps plus n multiplications by q (the running
 power q^(s-1) is carried along the walk), with no per-term power.
 
@@ -153,16 +153,13 @@ def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: st
         raise DomainError("s must be nonnegative")
     if s == 0:
         return 1 if target is CubicClass.ZERO else 0
-    q = data.q
-    return _count_from(data, _x_power(s - 1, q, data.c), q ** (s - 1), s, target, theta_source)
+    return _count(data, s, s - 1, _seeds(data, target, theta_source), target)
 
 
-def _count_from(
-    data: CubicData, power: tuple[int, int, int], q_power: int, s: int, target: CubicClass, theta_source: str
-) -> int:
-    """N_s (s >= 1) from power = x^(s-1) modulo the characteristic polynomial
-    and q_power = q^(s-1)."""
-    value = q_power + _term(power, _seeds(data, target, theta_source))
+def _count(data: CubicData, s: int, n: int, seeds: tuple[int, int, int], target: CubicClass) -> int:
+    """q^(s-1) + x_{n+1} of the recurrence from seeds: N_s for n = s - 1 and
+    the diagonal seeds, T_s for n = s - 2 and the twisted ones."""
+    value = data.q ** (s - 1) + _term(_x_power(n, data.q, data.c), seeds)
     if value < 0:
         raise IntegrityError(f"negative count {value} for s = {s}, target {target}")
     return value
@@ -182,6 +179,14 @@ def bijective_count(q: int, s: int, zero_target: bool) -> int:
     return q ** (s - 1)
 
 
+def _twisted_seeds(data: CubicData, y_cls: CubicClass, theta_source: str) -> tuple[int, int, int]:
+    """Seeds v_i = w_i + (q-1) u_i(y) of v_i = T_{i+1}(y) - q^i, from the
+    seeds of the zero target and of the class of y."""
+    q = data.q
+    zero_seeds = _seeds(data, CubicClass.ZERO, theta_source)
+    return tuple(w + (q - 1) * u for w, u in zip(zero_seeds, excess_seeds(data, y_cls, theta_source)))
+
+
 def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str = "exact") -> int:
     """T_s for non-cubic y of the given class, via
     T_s(y) = N_{s-1}(0) + (q-1) * N_{s-1}(y)."""
@@ -189,10 +194,7 @@ def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str 
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if s < 2:
         raise DomainError("twisted counts need at least two variables")
-    q = data.q
-    power, q_power = _x_power(s - 2, q, data.c), q ** (s - 2)  # shared by both N_{s-1}
-    zero_count = _count_from(data, power, q_power, s - 1, CubicClass.ZERO, theta_source)
-    return zero_count + (q - 1) * _count_from(data, power, q_power, s - 1, y_cls, theta_source)
+    return _count(data, s, s - 2, _twisted_seeds(data, y_cls, theta_source), y_cls)
 
 
 def twisted3_closed(data: CubicData, y_cls: CubicClass, theta_source: str = "exact") -> int:
@@ -215,18 +217,13 @@ def diagonal_series(data: CubicData, target: CubicClass, n: int, theta_source: s
 
 
 def twisted_series(data: CubicData, y_cls: CubicClass, n: int, theta_source: str = "exact") -> tuple[int, ...]:
-    """(T_2, ..., T_{n+1}) for non-cubic y, from the twisted generating
-    function itself -- an independent route from :func:`count_twisted`."""
+    """(T_2, ..., T_{n+1}) for non-cubic y, generated by the integer
+    recurrence from the same seeds as :func:`count_twisted`."""
     if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if n < 1:
         raise DomainError("need at least one coefficient")
-    q, c, d = data.q, data.c, data.d
-    numerator = (q - 1) * (c + 9 * d * delta(data, y_cls, theta_source))
-    if numerator % 2 != 0:
-        raise IntegrityError(f"half-integer twisted seed for q = {q} under theta source {theta_source!r}")
-    v1 = -(q - 1)
-    return _window((v1, -numerator // 2, 3 * q * v1), q, c, q, n)
+    return _window(_twisted_seeds(data, y_cls, theta_source), data.q, data.c, data.q, n)
 
 
 def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:

@@ -69,7 +69,12 @@ def _tables(field: FieldDescriptor) -> _Tables:
         exp.append(int(x))
         x = x * field.g
     if sorted(exp) != list(range(1, q)):
-        raise IntegrityError(f"the powers of g = {field.g} do not run over the units of F_{q}")
+        # the walk x -> x*g repeats from its first repeated value on, so the
+        # number of distinct powers is the number of steps before it repeats
+        raise IntegrityError(
+            f"the exp walk repeats the powers of g = {field.g} after {len(set(exp))} steps "
+            f"(the order of g), but fields accepted g as a generator of order q - 1 = {q - 1} of F_{q}"
+        )
     log: list[int | None] = [None] * q
     for i, code in enumerate(exp):
         log[code] = i

@@ -160,10 +160,13 @@ def check_oracle_equivalence() -> list[Check]:
             "no mismatches",
             detail=f"s <= {_max_s(q)}, {'all' if exhaustive else 'representative'} targets",
         ))
-        # the twisted generating function must reproduce the recurrence route
+        # the twisted series must equal N_{s-1}(0) + (q-1) N_{s-1}(y), its seeds' source
         stream_ok = all(
-            counting.twisted_series(data, cls, 5)
-            == tuple(counting.count_twisted(data, s, cls) for s in range(2, 7))
+            counting.twisted_series(data, cls, 5) == tuple(
+                counting.count_diagonal(data, s - 1, CubicClass.ZERO)
+                + (q - 1) * counting.count_diagonal(data, s - 1, cls)
+                for s in range(2, 7)
+            )
             for cls in NONCUBIC_CLASSES
         )
         checks.append(_check(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -411,3 +412,60 @@ class TestCharacteristicThree:
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"]["message"] == message
+
+
+class TestTwistedIntegrity:
+    def test_half_integer_series_fails_like_the_count(self, capsys):
+        # the twisted series takes its seeds from the diagonal ones, guard included
+        paper = ("--p", "7", "--k", "2", "--y", "c1", "--theta-source", "paper")
+        series = run_cli(capsys, "series", *paper)
+        count = run_cli(capsys, "count", "--s", "3", *paper)
+        assert series == count
+        code, out = series
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "integrity",
+            "message": "second seed -17/2 is not an integer for q = 49: "
+                       "theta source 'paper' is inconsistent with this field",
+        }
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early ends the command quietly, with the
+    exit code the command had decided and stdout pointed at devnull."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("series", "--p", "7", "--z", "zero"), 0),
+        (("count", "--p", "7", "--s", "1", "--y", "c1"), 2),
+        (("count", "--p", "7", "--k", "2", "--s", "3", "--y", "c1", "--theta-source", "paper"), 3),
+    ])
+    def test_write_raises(self, capsys, monkeypatch, tmp_path, argv, code):
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
+            assert cli.main(list(argv)) == code
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closes_early(self):
+        # about 0.4 MB of output, far beyond a pipe's buffer, so the writer
+        # is still writing when the reader goes
+        argv = [sys.executable, "-m", "diagcubic", "series", "--p", "13", "--k", "4", "--z", "c1", "--n-terms", "400"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(600).startswith(b'{"query": ')
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+        proc.stderr.close()

@@ -239,7 +239,7 @@ class TestTableRoute:
 def test_tables_refuse_a_non_generator(monkeypatch):
     field = make_field(7)
     monkeypatch.setattr(field, "g", field.element([2]))  # order 3, not 6
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=r"after 3 steps .*order q - 1 = 6 "):
         oracle._tables(field)
     with pytest.raises(IntegrityError):
         cube_histogram(field)

@@ -6,6 +6,10 @@ x_1^3 + ... + x_{s-1}^3 + y*x_s^3 = 0 for non-cubic y, in closed form from a
 three-term integer recurrence whose seeds are exact field constants
 (Eisenstein-integer Jacobi sums and the cubed Gauss sum).  A brute-force
 convolution oracle and numeric character sums cross-validate every formula.
+
+Importing the package loads neither the oracle nor ``verify``: the oracle
+names in ``__all__`` load it on first use.  The records are NamedTuples, and
+the package imports no ``dataclasses``.
 """
 
 from .constants import CubicData, cd_search, cubic_data, delta, theta_exact, theta_sign_rule
@@ -32,18 +36,6 @@ from .fields import (
     make_field,
     parse_element,
     parse_field,
-)
-from .oracle import (
-    CubeHistogram,
-    brute_diagonal,
-    brute_diagonal_naive,
-    brute_twisted,
-    cube_histogram,
-    cubic_exp_sum_numeric,
-    diagonal_count_vector,
-    gauss_sum_numeric,
-    jacobi_sum_numeric,
-    orthogonality_check,
 )
 
 __all__ = [
@@ -91,3 +83,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: only names missing from the module get here, so a name in
+    # __all__ is an oracle name, and the oracle loads on its first use
+    if name in __all__:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

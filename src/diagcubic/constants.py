@@ -34,8 +34,8 @@ the default everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .eisenstein import EisensteinInt, jacobi_sum_cubic, r_pair
 from .errors import DomainError, IntegrityError, ResourceError
@@ -47,8 +47,7 @@ THETA_SOURCES = ("exact", "paper")
 _MAX_CD_SEARCH_LOOPS = 10**6
 
 
-@dataclass(frozen=True)
-class CubicData:
+class CubicData(NamedTuple):
     """All constants of one field consumed by the counting formulas."""
 
     q: int

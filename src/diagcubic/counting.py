@@ -42,17 +42,15 @@ counts keyed to a concrete element z are generator-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .constants import CubicData, cd_search, delta
 from .errors import DomainError, IntegrityError
 from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor
 
 
-@dataclass(frozen=True)
-class SeriesWindow:
+class SeriesWindow(NamedTuple):
     """The first n coefficients N_1..N_n of one target's counting series."""
 
     target: CubicClass

@@ -26,7 +26,6 @@ and memory, p <= 10^7): the sum above over a table of discrete logs mod 3;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError, ResourceError
@@ -38,9 +37,8 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 _MAX_JACOBI_P = 10**7
 
 
-@dataclass(frozen=True, slots=True)
-class EisensteinInt:
-    """a + b*w with exact integer coefficients."""
+class EisensteinInt(NamedTuple):
+    """a + b*w with exact integer coefficients; + and * are Z[w] operations, not the tuple ones."""
 
     a: int
     b: int

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
@@ -97,8 +96,7 @@ def _power_codes(tables: _Tables, start: int, step: int) -> Iterator[int]:
     return (exp[(start + step * i) % m] for i in range(m))
 
 
-@dataclass(frozen=True)
-class CubeHistogram:
+class CubeHistogram(NamedTuple):
     """counts[int(v)] = number of cube roots of v in the field."""
 
     field: FieldDescriptor
@@ -263,8 +261,7 @@ def jacobi_sum_numeric(field: FieldDescriptor) -> complex:
     return g * g / g_conj
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     ok: bool
     max_error: float
     tolerance: float

@@ -25,7 +25,7 @@ Groups of checks, mirroring how the library is meant to be trusted:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import counting, oracle
 from .constants import cubic_data, delta
@@ -53,8 +53,7 @@ EXAMPLE_EXPECTED = {
 }
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "warn"
     observed: object
@@ -63,7 +62,7 @@ class Check:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _check(name: str, ok: bool, observed, expected, tolerance=None, detail="") -> Check:
@@ -171,7 +170,7 @@ def check_oracle_equivalence() -> list[Check]:
         )
         checks.append(_check(
             f"twisted-series-consistency/q={q}", stream_ok,
-            "generating function == convolution route" if stream_ok else "divergence",
+            "twisted series == N_{s-1}(0) + (q-1)*N_{s-1}(y)" if stream_ok else "divergence",
             "agreement for s <= 6",
         ))
     return checks

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -247,7 +246,7 @@ class TestInvariantMessages:
             cubic_data(make_field(2, 2))
 
     def test_real_part(self):
-        data = replace(cubic_data(make_field(7)), gauss_cubed_over_q=EisensteinInt(0, -3))
+        data = cubic_data(make_field(7))._replace(gauss_cubed_over_q=EisensteinInt(0, -3))
         with pytest.raises(IntegrityError, match=(
             r"M \+ conj\(M\) = 3\+0\*w for M = 0-3\*w from the Jacobi sum, but cd_search gives c = 1 for q = 7"
         )):
@@ -255,6 +254,6 @@ class TestInvariantMessages:
 
     def test_norm(self):
         # M = -1-3w moved to 0-1w keeps 2a - b = 1 = c but not |M|^2 = 7
-        data = replace(cubic_data(make_field(7)), gauss_cubed_over_q=EisensteinInt(0, -1))
+        data = cubic_data(make_field(7))._replace(gauss_cubed_over_q=EisensteinInt(0, -1))
         with pytest.raises(IntegrityError, match=r"\|M\|\^2 = 1 for M = 0-1\*w from the Jacobi sum, but q = 7"):
             constants_module._check_invariants(data)

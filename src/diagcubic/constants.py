@@ -13,16 +13,23 @@ Gauss sum divided by q, which lives in Z[w]:
     M = G^3 / q = (-1)^(k-1) * J^k          (p = 1 mod 3, J the cubic Jacobi
                                              sum over F_p with chi'(norm(g)) = w)
 
-and, writing M = A + B*w: c = 2A - B, d = |B| / 3, theta = sgn(B).
+and, writing M = A + B*w: c = 2A - B, d = |B| / 3, theta = sgn(B).  For
+p = 2 (mod 3), q = 1 (mod 3) forces k = 2m, and Stickelberger's theorem on
+pure Gauss sums gives
 
-Every constant is computed once per field, in :func:`cubic_data`.  The
-production route is the one Jacobi sum J, found in O(log p) by the modified
-Cornacchia algorithm with the r2 sign fixed by the congruence of Gauss's
-cubic theorem (:func:`~diagcubic.eisenstein.jacobi_sum_cubic`): J gives M,
-M gives (c, d) and theta, and J gives the r-pair.  The Diophantine search
-:func:`cd_search` is the independent witness for (c, d); the two routes must
-agree exactly.  The direct O(p) Jacobi sum is a second witness, used only
-by ``verify`` and the tests.
+    M = (-1)^(m-1) * p^m,                   so c = 2M, d = 0, theta = 0.
+
+Every constant is computed once per field, in :func:`cubic_data`, by one
+closed-form route per case.  For p = 1 (mod 3) that is the one Jacobi sum
+J, found in O(log p) by the modified Cornacchia algorithm with the r2 sign
+fixed by the congruence of Gauss's cubic theorem
+(:func:`~diagcubic.eisenstein.jacobi_sum_cubic`): J gives M, M gives (c, d)
+and theta, and J gives the r-pair.  For p = 2 (mod 3) it is Stickelberger's
+M.  ``cubic_data`` checks on every call that (c, d) meets the conditions
+above and is tied to M.  The witnesses run only in ``verify`` and the
+tests: the Diophantine search :func:`cd_search` (O(sqrt q) steps, refused
+above q of about 6.75 * 10^12), whose (c, d) must equal the pair read off
+M, and the direct O(p) Jacobi sum.
 
 A second prediction of theta ("theta_paper", the published parity rule) is
 computed independently: 0 for even k, and the sign of Im((r1+3*sqrt(3)*r2*i)^k)
@@ -101,8 +108,7 @@ def cd_search(q: int, p: int) -> tuple[int, int]:
 
 def theta_exact(field: FieldDescriptor) -> tuple[int, EisensteinInt]:
     """theta and M = G^3/q from exact Eisenstein arithmetic: a view of
-    :func:`cubic_data`, which computes both once and checks them against the
-    Diophantine witness."""
+    :func:`cubic_data`, which computes both once and checks their invariants."""
     data = cubic_data(field)
     return data.theta, data.gauss_cubed_over_q
 
@@ -136,42 +142,39 @@ def delta(data: CubicData, cls: CubicClass, theta_source: str = "exact") -> int:
 def cubic_data(field: FieldDescriptor) -> CubicData:
     """Assemble every constant for one field, cross-checking all invariants.
 
-    Production route: for p = 1 (mod 3) one Jacobi sum J over F_p, taken with
-    the prime-field generator norm(g) so that class labels, theta and the r2
-    sign agree, gives M = (-1)^(k-1) * J^k and the r-pair; M gives c, d and
-    theta.  J comes from the modified Cornacchia algorithm and the r2
-    congruence in O(log p).  For p = 2 (mod 3) there is no cubic character of
-    F_p: d = 0, theta = 0 and M = c/2.  Witness: cd_search, whose (c, d) must
-    equal the pair read off M; it takes O(sqrt q) steps and refuses q above
-    about 6.75 * 10^12 with a ResourceError.
+    One closed-form route per case gives M = G^3/q, and (c, d) and theta
+    are read off M = A + B*w as c = 2A - B, d = |B|/3, theta = sgn(B):
+
+    * p = 1 (mod 3): one Jacobi sum J over F_p, taken with the prime-field
+      generator norm(g) so that class labels, theta and the r2 sign agree,
+      gives M = (-1)^(k-1) * J^k and the r-pair.  J comes from the modified
+      Cornacchia algorithm and the r2 congruence in O(log p).
+    * p = 2 (mod 3): q = 1 (mod 3) forces k = 2m, and Stickelberger's pure
+      Gauss sum gives M = (-1)^(m-1) * p^m, so c = 2M, d = 0 and theta = 0;
+      F_p has no cubic character, hence no r-pair.
+
+    The Diophantine search :func:`cd_search` is not run here: it is the
+    witness for (c, d) in ``verify`` and the tests.
     """
     q, p, k = field.q, field.p, field.k
     if q % 3 != 1:
         raise DomainError(f"q = {q} = {q % 3} (mod 3): the counting constants are not defined")
     if p % 3 == 1:
         j_sum = jacobi_sum_cubic(p, field.g.norm())
-        c, d = cd_search(q, p)
         m = j_sum ** k
         if k % 2 == 0:
             m = -m
-        if m.real_doubled() != c or abs(m.b) != 3 * d:
-            raise IntegrityError(
-                f"exact Gauss-cube path gives (c, d) = ({m.real_doubled()}, {abs(m.b) // 3}) "
-                f"but the Diophantine search gives ({c}, {d}) for q = {q}"
-            )
         r1, r2 = r_pair(j_sum, p)
         theta = m.imag_sign()
         theta_paper = theta_sign_rule(k, r1, r2)
     else:
-        c, d = cd_search(q, p)
-        if c % 2 != 0:
-            raise IntegrityError(f"c = {c} odd with d = {d} for square q = {q}")
-        m = EisensteinInt(c // 2, 0)
+        half = k // 2
+        m = EisensteinInt((-1) ** (half - 1) * p ** half, 0)
         r1 = r2 = None
-        theta = theta_paper = 0  # k is even here, since q = 1 (mod 3) with p = 2 (mod 3)
+        theta = theta_paper = 0
 
     data = CubicData(
-        q=q, p=p, k=k, c=c, d=d, r1=r1, r2=r2,
+        q=q, p=p, k=k, c=m.real_doubled(), d=abs(m.b) // 3, r1=r1, r2=r2,
         theta=theta, theta_paper=theta_paper, gauss_cubed_over_q=m,
     )
     _check_invariants(data)
@@ -179,21 +182,25 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
 
 
 def _check_invariants(data: CubicData) -> None:
-    c, d, m, q = data.c, data.d, data.gauss_cubed_over_q, data.q
-    # (c, d) comes from cd_search; M from the Jacobi sum, or from c when p = 2 (mod 3)
-    m_route = "the Jacobi sum" if data.r1 is not None else "c/2 (p = 2 mod 3)"
-    if (c - d) % 2 != 0:
-        raise IntegrityError(f"cd_search gives c = {c} and d = {d} of opposite parity for q = {q}")
-    if (d == 0) != (data.theta == 0):
-        raise IntegrityError(
-            f"cd_search gives d = {d} but M = {m} from {m_route} gives theta = {data.theta} for q = {q}"
-        )
-    # M + conj(M) = c and |M|^2 = q, the exact restatements of the
-    # Gauss-cube identities that the counting seeds depend on.
+    """The conditions that pin (c, d) and tie it to M, checked on every call.
+
+    4q = c^2 + 27 d^2, c = 1 (mod 3), d >= 0 and, for p = 1 (mod 3),
+    gcd(c, p) = 1 single out the pair (the contract of :func:`cd_search`);
+    M + conj(M) = c, |B| = 3d, sgn(B) = theta and |M|^2 = q tie it to M.
+    Given c = 2A - B and |B| = 3d, |M|^2 = q is exactly 4q = c^2 + 27 d^2.
+    """
+    c, d, m, p, q = data.c, data.d, data.gauss_cubed_over_q, data.p, data.q
+    route = "the Jacobi sum" if data.r1 is not None else "Stickelberger"
+    if m.norm() != q:
+        raise IntegrityError(f"{route} gives M = {m} with |M|^2 = {m.norm()}, but q = {q}")
     total = m + m.conjugate()
     if total.b != 0 or total.a != c:
+        raise IntegrityError(f"{route} gives M = {m} with M + conj(M) = {total}, but c = {c} for q = {q}")
+    if d < 0 or abs(m.b) != 3 * d or m.imag_sign() != data.theta:
         raise IntegrityError(
-            f"M + conj(M) = {total} for M = {m} from {m_route}, but cd_search gives c = {c} for q = {q}"
+            f"{route} gives M = {m}, but d = {d} and theta = {data.theta} need B = theta * 3d for q = {q}"
         )
-    if m.norm() != q:
-        raise IntegrityError(f"|M|^2 = {m.norm()} for M = {m} from {m_route}, but q = {q}")
+    if c % 3 != 1:
+        raise IntegrityError(f"{route} gives M = {m} and c = {c} = {c % 3} (mod 3), not 1, for q = {q}")
+    if p % 3 == 1 and gcd(c, p) != 1:
+        raise IntegrityError(f"{route} gives M = {m} and c = {c}, which p = {p} divides, for q = {q}")

@@ -11,6 +11,12 @@ under the ordering of coefficient vectors as base-p integers.  Either can be
 overridden explicitly; the cubic class labels C1/C2 (and every sign derived
 from them) are relative to the chosen g.
 
+Irreducibility is decided by Ben-Or's test (:mod:`diagcubic.polynomials`),
+and each field tests its modulus once: the canonical one in the candidate
+scan of :func:`find_irreducible`, a given one in the constructor.  The
+tests of one field may cost at most ``polynomials.MAX_IRREDUCIBILITY_COST``;
+beyond it construction is refused with a ResourceError.
+
 Textual form used by the CLI: ``p^k/modulus-coeffs/g-coeffs`` with
 comma-separated little-endian coefficient lists, e.g. ``7^2/1,0,1/2,1``.
 """
@@ -51,34 +57,13 @@ _CHARACTER_VALUE = {
     CubicClass.C2: OMEGA2,
 }
 
-#: Largest number of trial divisors the irreducibility test may need, the
-#: monic polynomials of degree <= k/2 over F_p (about p^(k/2)).
-_MAX_TRIAL_DIVISORS = 10**5
-
 #: Largest number of candidates the generator search may test.  Generators
 #: make up phi(q - 1)/(q - 1) of the units, so the search ends after a few.
 _MAX_GENERATOR_CANDIDATES = 10**4
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p, little-endian coefficient tuples
-
-
-def _poly_rem(num: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of num mod den over F_p; den must be monic."""
-    rem = list(num)
-    dd = len(den) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i] % p
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
-    rem = [c % p for c in rem[:dd]]
-    return tuple(rem)
-
-
-def _is_zero_poly(poly: Sequence[int]) -> bool:
-    return all(c == 0 for c in poly)
+# the canonical modulus
 
 
 def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -92,47 +77,30 @@ def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
         yield tuple(coeffs) + (1,)
 
 
-def _check_trial_division(p: int, degree: int) -> None:
-    """Refuse a degree whose irreducibility test would need more than
-    ``_MAX_TRIAL_DIVISORS`` trial divisors, before any is tried."""
-    divisors = 0
-    for d in range(1, degree // 2 + 1):
-        divisors += p ** d
-        if divisors > _MAX_TRIAL_DIVISORS:
-            raise ResourceError(
-                f"testing a degree-{degree} polynomial over F_{p} for irreducibility needs "
-                f"more than {_MAX_TRIAL_DIVISORS} trial divisors"
-            )
-
-
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    degree = len(poly) - 1
-    _check_trial_division(p, degree)
-    if degree < 1:
-        return False
-    if degree == 1:
-        return True
-    for d in range(1, degree // 2 + 1):
-        for div in _monic_polys(p, d):
-            if _is_zero_poly(_poly_rem(poly, div, p)):
-                return False
-    return True
-
-
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Smallest monic irreducible polynomial of degree k >= 2 over F_p.
 
     "Smallest" orders the non-leading coefficient vectors (a0, ..., a_{k-1})
-    as base-p integers with the constant term least significant.
+    as base-p integers with the constant term least significant.  Each
+    candidate gets one Ben-Or test, and the scan refuses with a
+    ResourceError once its tests would cost more than
+    ``polynomials.MAX_IRREDUCIBILITY_COST`` (at once if a single test would).
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if k < 2:
         raise DomainError("degree must be at least 2; the prime field needs no modulus")
-    _check_trial_division(p, k)  # before _monic_polys forms p^k
-    for poly in _monic_polys(p, k):
-        if _is_irreducible(poly, p):
+    from . import polynomials  # on first use: a prime field tests no modulus
+
+    cap = polynomials.MAX_IRREDUCIBILITY_COST
+    candidates = cap // polynomials.irreducibility_cost(p, k)  # before _monic_polys forms p^k
+    for tested, poly in enumerate(_monic_polys(p, k)):
+        if tested == candidates:
+            raise ResourceError(
+                f"no irreducible polynomial of degree {k} over F_{p} among the first {candidates} "
+                f"candidates, the most that the cap of {cap} allows"
+            )
+        if polynomials.is_irreducible(poly, p):
             return poly
     raise IntegrityError(f"no irreducible polynomial of degree {k} over F_{p}")  # unreachable
 
@@ -270,7 +238,9 @@ class FieldDescriptor:
 
     __slots__ = ("p", "k", "q", "modulus", "g", "_sig", "_red_rows", "_cube_roots")
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...], generator: tuple[int, ...] | None):
+    def __init__(
+        self, p: int, k: int, modulus: tuple[int, ...] | None, generator: tuple[int, ...] | None
+    ):
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         if k < 1:
@@ -278,16 +248,23 @@ class FieldDescriptor:
         self.p = p
         self.k = k
 
-        if len(modulus) != k + 1 or modulus[-1] != 1:
+        if modulus is None:
+            # the canonical modulus, proved irreducible by the scan, so not tested again
+            modulus = (0, 1) if k == 1 else find_irreducible(p, k)
+        elif len(modulus) != k + 1 or modulus[-1] != 1:
             raise DomainError(f"modulus must be monic of degree {k}")
-        if any(not (0 <= c < p) for c in modulus):
+        elif any(not (0 <= c < p) for c in modulus):
             raise DomainError(f"modulus coefficients must lie in [0, {p})")
-        if k == 1:
+        elif k == 1:
             if modulus != (0, 1):
                 raise DomainError("the prime field uses the trivial modulus t")
-        elif not _is_irreducible(modulus, p):
-            raise DomainError(f"modulus {modulus} is reducible over F_{p}")
-        self.q = p ** k  # after the modulus checks, which bound k by the modulus length
+        else:
+            from . import polynomials
+
+            polynomials.irreducibility_cost(p, k)  # refuses a test beyond the cap
+            if not polynomials.is_irreducible(modulus, p):
+                raise DomainError(f"modulus {modulus} is reducible over F_{p}")
+        self.q = p ** k  # after the modulus checks, which bound k by the modulus length or the cost cap
         self.modulus = tuple(modulus)
         self._sig = (p, k, self.modulus)
 
@@ -463,11 +440,17 @@ def make_field(
     modulus: Sequence[int] | None = None,
     generator: Sequence[int] | None = None,
 ) -> FieldDescriptor:
-    """Construct F_{p^k} with canonical (or explicitly given) modulus and generator."""
-    if modulus is None:
-        # k < 1 and a composite p are rejected by the constructor or find_irreducible
-        modulus = (0, 1) if k <= 1 else find_irreducible(p, k)
-    return FieldDescriptor(p, k, tuple(modulus), tuple(generator) if generator is not None else None)
+    """Construct F_{p^k} with canonical (or explicitly given) modulus and generator.
+
+    Either way the modulus gets exactly one irreducibility test: the
+    canonical one in the scan of :func:`find_irreducible`, a given one in
+    the constructor.
+    """
+    return FieldDescriptor(
+        p, k,
+        tuple(modulus) if modulus is not None else None,
+        tuple(generator) if generator is not None else None,
+    )
 
 
 def parse_element(field: FieldDescriptor, text: str) -> FieldElement:

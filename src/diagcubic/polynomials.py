@@ -1,0 +1,126 @@
+"""Polynomials over F_p: Ben-Or's irreducibility test and the cap on its cost.
+
+Polynomials are little-endian coefficient sequences (constant term first)
+with entries in [0, p).  :func:`is_irreducible` decides whether a monic f of
+degree k is irreducible in about k^2 * (k + log2 p) coefficient operations
+(Ben-Or, FOCS 1981; Shoup, *A Computational Introduction to Number Theory
+and Algebra*, ch. 20).  :mod:`diagcubic.fields` imports this module only
+when it builds an extension field, so a prime-field call never loads it.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from .errors import ResourceError
+
+#: Largest cost the irreducibility tests of one field may take, in the units
+#: of :func:`irreducibility_cost`, about k^2 * (k + log2 p) coefficient
+#: operations per Ben-Or test of a degree-k polynomial over F_p.  A given
+#: modulus needs one test; the scan for the canonical one tests at most
+#: cap // cost candidates.  Either stays within about 0.3 s.
+MAX_IRREDUCIBILITY_COST = 4 * 10**6
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """Drop zero leading coefficients; the zero polynomial becomes []."""
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _is_coprime(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    """Whether gcd(a, b) = 1 over F_p, by Euclid; a must be nonzero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):  # a mod b, top term first
+            c = a[i] * inv % p
+            if c:
+                for j, bj in enumerate(b, i - db):
+                    a[j] -= c * bj
+        a, b = b, _trim([c % p for c in a[:db]])
+    return len(a) == 1
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """a * b mod f over F_p, for a and b of length k = deg f and f monic."""
+    k = len(f) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    low = f[:k]
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j, fj in enumerate(low, i - k):
+                prod[j] -= c * fj
+    return [c % p for c in prod[:k]]
+
+
+def _x_pow_mod(e: int, f: Sequence[int], p: int) -> list[int]:
+    """x^e mod f over F_p by square-and-multiply, for e >= 1 and f monic of
+    degree >= 2."""
+    k = len(f) - 1
+    result = [0, 1] + [0] * (k - 2)
+    for bit in bin(e)[3:]:
+        result = _mul_mod(result, result, f, p)
+        if bit == "1":  # times x: shift up, then fold the x^k term back
+            top = result[-1]
+            result = [((result[i - 1] if i else 0) - top * f[i]) % p for i in range(k)]
+    return result
+
+
+def irreducibility_cost(p: int, k: int) -> int:
+    """Cost of one Ben-Or test of a degree-k polynomial over F_p, in
+    coefficient operations: about k + log2 p products of two polynomials
+    of degree < k (log2 p for x^p mod f, k for the Frobenius table, two per
+    step for the k/2 steps), each k^2 operations plus a fixed overhead that
+    costs about as much as 64 of them in this implementation.  A cost above
+    ``MAX_IRREDUCIBILITY_COST`` is refused with a ResourceError, before
+    any work."""
+    cost = (k * k + 64) * (k + p.bit_length())
+    if cost > MAX_IRREDUCIBILITY_COST:
+        raise ResourceError(
+            f"testing a degree-{k} polynomial over F_{p} for irreducibility costs about "
+            f"{cost} steps, above the cap of {MAX_IRREDUCIBILITY_COST}"
+        )
+    return cost
+
+
+def is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Ben-Or's test for f monic of degree k >= 1 over F_p: f is irreducible
+    iff gcd(x^(p^i) - x, f) = 1 for i = 1 .. k/2, since a reducible f has an
+    irreducible factor of some degree i <= k/2, which divides x^(p^i) - x.
+
+    The Frobenius map h -> h^p is F_p-linear, so once x^p mod f is known
+    the table of x^(p*j) mod f (j < k) gives each next power x^(p^(i+1))
+    in one matrix-vector product.  The table is built only for an f that
+    passes the step i = 1, that is, has no root in F_p.
+    """
+    k = len(f) - 1
+    if k < 2:
+        return k == 1
+    if f[0] == 0:
+        return False  # x divides f
+    frob = h = _x_pow_mod(p, f, p)
+    table = None
+    for i in range(1, k // 2 + 1):
+        if i > 1:
+            if table is None:
+                table = [[1] + [0] * (k - 1), frob]
+                for _ in range(2, k):
+                    table.append(_mul_mod(table[-1], frob, f, p))
+            acc = [0] * k
+            for hj, row in zip(h, table):
+                if hj:
+                    for j, r in enumerate(row):
+                        acc[j] += hj * r
+            h = [c % p for c in acc]
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        if not _is_coprime(f, h_minus_x, p):
+            return False
+    return True

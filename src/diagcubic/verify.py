@@ -6,9 +6,10 @@ Groups of checks, mirroring how the library is meant to be trusted:
   closed form and brute force;
 * oracle equivalence: closed-form counts equal brute-force convolution counts
   on every supported field, exhaustively in the target for q <= 31;
-* constants integrity: Diophantine search, exact Gauss-cube path and Jacobi
-  sums agree, including a scan of all primes p = 1 (mod 3) up to 10^4 on
-  which the Cornacchia and direct Jacobi sums must be equal;
+* constants integrity: the Diophantine search for (c, d) finds the pair
+  read off the exact Gauss cube on every supported field, and a scan of all
+  primes p = 1 (mod 3) up to 10^4 requires the Cornacchia and direct Jacobi
+  sums to be equal;
 * numeric identities: double-precision character sums confirm the analytic
   identities at stated tolerances;
 * mod-4 sign rule: the classical criterion for 2 non-cubic agrees with the
@@ -28,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from . import counting, oracle
-from .constants import cubic_data, delta
+from .constants import cd_search, cubic_data, delta
 from .eisenstein import jacobi_sum_cubic, jacobi_sum_direct, r_pair
 from .fields import NONCUBIC_CLASSES, NONZERO_CLASSES, CubicClass, FieldDescriptor, make_field
 from .ntheory import prime_factors, primes_up_to
@@ -198,7 +199,8 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
         field = make_field(p, k)
         data = cubic_data(field)  # construction re-asserts every invariant
         ok = (
-            4 * q == data.c ** 2 + 27 * data.d ** 2
+            (data.c, data.d) == cd_search(q, p)  # the Diophantine witness
+            and 4 * q == data.c ** 2 + 27 * data.d ** 2
             and data.c % 3 == 1
             and data.d >= 0
             and (data.c - data.d) % 2 == 0

@@ -35,7 +35,7 @@ class TestConstantsCommand:
         assert first == second
 
     def test_large_prime(self):
-        # p ~ 10^12: Cornacchia gives J at once, the (c, d) witness takes about 0.3 s
+        # p ~ 10^12: Cornacchia gives J at once, and no (c, d) search runs
         proc = subprocess.run(
             [sys.executable, "-m", "diagcubic", "constants", "--p", "1000000000039"],
             capture_output=True, text=True, timeout=60,
@@ -44,6 +44,45 @@ class TestConstantsCommand:
         result = json.loads(proc.stdout)["result"]
         assert (result["c"], result["d"]) == (-320657, 379921)
         assert 4 * 1000000000039 == result["c"] ** 2 + 27 * result["d"] ** 2
+
+    def test_above_the_search_cap(self, capsys):
+        # q is past the cap of cd_search, which cubic_data does not run
+        p = 10000000000051
+        code, out = run_cli(capsys, "constants", "--p", str(p))
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["c"], result["d"], result["r1"], result["r2"], result["theta"]) == (
+            2695573, 1101075, 2695573, -1101075, -1
+        )
+        assert result["gauss_cubed_over_q"] == "-303826-3303225*w"
+        self._check_independent_facts(result, g_norm=2)
+
+    def test_degree_thirteen(self, capsys):
+        # trial division would need about 13^6 divisors per candidate modulus
+        code, out = run_cli(capsys, "constants", "--p", "13", "--k", "13")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["query"]["field"] == "13^13/1,12,0,0,0,0,0,0,0,0,0,0,0,1/0,2,0,0,0,0,0,0,0,0,0,0,0"
+        result = payload["result"]
+        assert (result["q"], result["c"], result["d"], result["r1"], result["r2"], result["theta"]) == (
+            13 ** 13, 17755915, 5761391, -5, -1, 1
+        )
+        assert result["gauss_cubed_over_q"] == "17520044+17284173*w"
+        # g = 2t has norm (-1)^13 * 2^13 * 1 mod 13, the constant term of the modulus being 1
+        self._check_independent_facts(result, g_norm=-(2 ** 13) % 13)
+
+    @staticmethod
+    def _check_independent_facts(result, g_norm):
+        """|M|^2 = q, 4q = c^2 + 27 d^2 with the side conditions, and the r-pair
+        with its congruence 9*r2 = (2t + 1)*r1 (mod p), t = norm(g)^((p-1)/3)."""
+        p, q, c, d, r1, r2 = (result[key] for key in ("p", "q", "c", "d", "r1", "r2"))
+        a, b = (int(part) for part in result["gauss_cubed_over_q"][:-2].replace("-", "+-").split("+") if part)
+        assert a * a - a * b + b * b == q
+        assert 4 * q == c * c + 27 * d * d and c % 3 == 1 and d >= 0 and c % p != 0
+        assert 2 * a - b == c and abs(b) == 3 * d
+        t = pow(g_norm, (p - 1) // 3, p)
+        assert 4 * p == r1 * r1 + 27 * r2 * r2 and r1 % 3 == 1
+        assert (9 * r2 - (2 * t + 1) * r1) % p == 0
 
     def test_theta_mismatch_warning(self, capsys):
         code, out = run_cli(capsys, "constants", "--p", "7", "--k", "2")
@@ -274,13 +313,14 @@ class TestResourceRefusals:
     """Requests beyond a size cap end as one resource-error line, exit 2."""
 
     @pytest.mark.parametrize("argv", [
-        # p = 1 (mod 3) above the (c, d) search cap: about 1.2 * 10^6 steps
-        ["constants", "--p", "10000000000051"],
-        ["count", "--p", "10000000000051", "--s", "3", "--z", "zero"],
+        # no binomial t^5 + a is irreducible, since 5 does not divide p - 1: the
+        # modulus scan runs out of its cost budget long before it passes them
+        ["constants", "--p", "1000003", "--k", "5"],
+        ["count", "--p", "1000003", "--k", "5", "--s", "3", "--z", "zero"],
         # p - 1 = 2 * 1000003 * 1000121: a composite cofactor beyond the trial-division bound
         ["constants", "--p", "2000248000727"],
-        # about 13^6 trial divisors per candidate modulus
-        ["constants", "--p", "13", "--k", "13"],
+        # one irreducibility test of degree 200 costs about twice the cap
+        ["constants", "--p", "13", "--k", "200"],
         # beyond the deterministic Miller-Rabin range
         ["constants", "--p", "10000000000000000000000000000057"],
     ], ids=" ".join)

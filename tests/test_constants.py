@@ -137,23 +137,30 @@ class TestCubicData:
             cubic_data(make_field(5))
 
     def test_exact_path_matches_search_widely(self):
-        # cubic_data raises IntegrityError if the Eisenstein route and the
-        # Diophantine search ever disagree; sweep every q = p^k = 1 (mod 3)
-        # with p <= 100, k <= 4, q <= 10^4
+        # the differential test of the closed-form routes against the
+        # Diophantine search they replaced: every q = p^k = 1 (mod 3) up to
+        # 10^5, among them the p = 2 (mod 3) squares 4, 16, 25, 64, 121, 256,
+        # 625, 1024, 5^6 and 11^4 that Stickelberger's M now serves
         from diagcubic.ntheory import primes_up_to
 
-        swept = 0
-        for p in primes_up_to(100):
-            for k in (1, 2, 3, 4):
-                q = p ** k
-                if q > 10_000 or q % 3 != 1:
-                    continue
-                data = cubic_data(make_field(p, k))
-                assert 4 * q == data.c ** 2 + 27 * data.d ** 2
-                if k % 2 == 1:
-                    assert data.theta == data.theta_paper
-                swept += 1
-        assert swept > 40
+        bound = 10 ** 5
+        seen = set()
+        for p in primes_up_to(bound):
+            q, k = p, 1
+            while q <= bound:
+                if q % 3 == 1:
+                    data = cubic_data(make_field(p, k))
+                    c, d = cd_search(q, p)
+                    b = 3 * d * data.theta
+                    assert (data.c, data.d) == (c, d), q
+                    assert (data.theta == 0) == (d == 0), q
+                    assert data.gauss_cubed_over_q == EisensteinInt((c + b) // 2, b), q
+                    if k % 2 == 1:
+                        assert data.theta == data.theta_paper
+                    seen.add(q)
+                q, k = q * p, k + 1
+        assert {4, 16, 25, 64, 121, 256, 625, 1024, 5 ** 6, 11 ** 4} <= seen
+        assert len(seen) == 4868  # the prime powers q <= 10^5 with q = 1 (mod 3)
 
     @pytest.mark.parametrize("q", sorted(SUPPORTED_FIELDS))
     def test_invariants(self, q):
@@ -193,7 +200,8 @@ class TestOneComputationPerCall:
         counted("cd_search")
         counted("jacobi_sum_cubic")
         cubic_data(field)
-        assert calls == {"cd_search": 1, "jacobi_sum_cubic": 1 if p % 3 == 1 else 0}
+        # the (c, d) search is a witness only: verify and the tests run it
+        assert calls == {"cd_search": 0, "jacobi_sum_cubic": 1 if p % 3 == 1 else 0}
 
 
 class TestGeneratorCoset:
@@ -228,32 +236,46 @@ class TestCdSearchCap:
             cd_search(10_000_000_000_051, 10_000_000_000_051)  # about 1.2 * 10^6 steps
 
     def test_large_prime_field(self):
-        # Cornacchia gives J, the witness needs 384,900 steps and agrees
+        # Cornacchia gives J; the witness needs 384,900 steps and agrees
         data = cubic_data(make_field(1_000_000_000_039))
         assert (data.c, data.d, data.r1, data.r2, data.theta) == (-320657, 379921, -320657, -379921, -1)
+        assert cd_search(data.q, data.p) == (data.c, data.d)
 
 
 class TestInvariantMessages:
-    """Each invariant error names the route of each side and both values."""
+    """Each invariant error names the route of M and both values compared."""
 
-    @pytest.mark.parametrize("pair, message", [
-        ((4, 1), r"cd_search gives c = 4 and d = 1 of opposite parity for q = 4"),
-        ((4, 2), r"cd_search gives d = 2 but M = 2\+0\*w from c/2 \(p = 2 mod 3\) gives theta = 0 for q = 4"),
+    @pytest.mark.parametrize("change, message", [
+        ({"d": 1}, r"Stickelberger gives M = 2\+0\*w, but d = 1 and theta = 0 need B = theta \* 3d for q = 4"),
+        # the sign of Stickelberger's M flipped: |M|^2 = q still holds
+        ({"gauss_cubed_over_q": EisensteinInt(-2, 0), "c": -4},
+         r"Stickelberger gives M = -2\+0\*w and c = -4 = 2 \(mod 3\), not 1, for q = 4"),
     ])
-    def test_cd_search_side(self, monkeypatch, pair, message):
-        monkeypatch.setattr(constants_module, "cd_search", lambda q, p: pair)
+    def test_stickelberger_side(self, change, message):
+        data = cubic_data(make_field(2, 2))._replace(**change)
         with pytest.raises(IntegrityError, match=message):
-            cubic_data(make_field(2, 2))
+            constants_module._check_invariants(data)
 
     def test_real_part(self):
-        data = cubic_data(make_field(7))._replace(gauss_cubed_over_q=EisensteinInt(0, -3))
+        data = cubic_data(make_field(7))._replace(c=4)
         with pytest.raises(IntegrityError, match=(
-            r"M \+ conj\(M\) = 3\+0\*w for M = 0-3\*w from the Jacobi sum, but cd_search gives c = 1 for q = 7"
+            r"the Jacobi sum gives M = -1-3\*w with M \+ conj\(M\) = 1\+0\*w, but c = 4 for q = 7"
         )):
             constants_module._check_invariants(data)
 
     def test_norm(self):
         # M = -1-3w moved to 0-1w keeps 2a - b = 1 = c but not |M|^2 = 7
         data = cubic_data(make_field(7))._replace(gauss_cubed_over_q=EisensteinInt(0, -1))
-        with pytest.raises(IntegrityError, match=r"\|M\|\^2 = 1 for M = 0-1\*w from the Jacobi sum, but q = 7"):
+        with pytest.raises(IntegrityError, match=r"the Jacobi sum gives M = 0-1\*w with \|M\|\^2 = 1, but q = 7"):
+            constants_module._check_invariants(data)
+
+    def test_coprimality(self):
+        # M = -7 has norm 49 and c = -14 = 1 (mod 3), but 7 divides c: the
+        # d = 0 candidate that the side condition gcd(c, p) = 1 excludes
+        data = cubic_data(make_field(7, 2))._replace(
+            gauss_cubed_over_q=EisensteinInt(-7, 0), c=-14, d=0, theta=0,
+        )
+        with pytest.raises(IntegrityError, match=(
+            r"the Jacobi sum gives M = -7\+0\*w and c = -14, which p = 7 divides, for q = 49"
+        )):
             constants_module._check_invariants(data)

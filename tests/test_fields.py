@@ -18,6 +18,7 @@ from diagcubic import (
     verify,
 )
 from diagcubic import fields as fields_module
+from diagcubic import polynomials
 from diagcubic.ntheory import prime_factors
 
 
@@ -251,28 +252,47 @@ class TestConstruction:
 
 
 class TestTrialDivisionCap:
+    """The cap on the cost of irreducibility tests, about (k^2 + 64) *
+    (k + log2 p) per Ben-Or test (named for the trial-division cap it
+    replaced)."""
+
     @pytest.mark.parametrize("p, k", [(7, 6), (97, 2), (2, 10), (13, 4), (11, 3), (2, 9), (19, 3)])
     def test_fields_in_use_construct(self, p, k):
         field = make_field(p, k)
         assert field.q == p ** k and len(field.modulus) == k + 1
 
-    def test_refuses_large_degree(self):
+    def test_refuses_large_degree(self, monkeypatch):
+        def no_test(poly, p):
+            raise AssertionError("an irreducibility test ran")
+
+        monkeypatch.setattr(polynomials, "is_irreducible", no_test)
+        # (200^2 + 64) * (200 + 4) = 8,173,056: about twice the cap, refused before any test
+        with pytest.raises(ResourceError, match="costs about 8173056 steps"):
+            find_irreducible(13, 200)
         with pytest.raises(ResourceError):
-            find_irreducible(13, 13)  # about 13^6 trial divisors per candidate
+            make_field(13, 200)
         with pytest.raises(ResourceError):
-            make_field(13, 13)
-        with pytest.raises(ResourceError):
-            make_field(13, 13, modulus=(2,) + (0,) * 12 + (1,))
+            make_field(13, 200, modulus=(2,) + (0,) * 199 + (1,))
         with pytest.raises(ResourceError):
             make_field(2, 10**9)
 
     def test_boundary(self, monkeypatch):
-        # degree 4 over F_7 needs the 7 + 49 monic divisors of degree 1 and 2
-        monkeypatch.setattr(fields_module, "_MAX_TRIAL_DIVISORS", 56)
-        assert find_irreducible(7, 4) == make_field(7, 4).modulus
-        monkeypatch.setattr(fields_module, "_MAX_TRIAL_DIVISORS", 55)
+        # one test of degree 4 over F_13 costs (16 + 64) * (4 + 4) = 640; the
+        # canonical t^4 + 2 is the third candidate, after t^4 and t^4 + 1
+        cost = polynomials.irreducibility_cost(13, 4)
+        assert cost == 640
+        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", 3 * cost)
+        assert find_irreducible(13, 4) == make_field(13, 4).modulus == (2, 0, 0, 0, 1)
+        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", 3 * cost - 1)
+        with pytest.raises(ResourceError, match="among the first 2 candidates"):
+            find_irreducible(13, 4)
+        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", cost)
+        assert make_field(13, 4, modulus=(2, 0, 0, 0, 1)).q == 13 ** 4  # one test fits exactly
+        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", cost - 1)
+        with pytest.raises(ResourceError, match="costs about 640 steps, above the cap of 639"):
+            make_field(13, 4, modulus=(2, 0, 0, 0, 1))
         with pytest.raises(ResourceError):
-            find_irreducible(7, 4)
+            find_irreducible(13, 4)
 
     def test_malformed_modulus_of_huge_degree_is_rejected_first(self):
         # the modulus length is checked before q = p^k is formed
@@ -297,6 +317,84 @@ def _golden_cli_fields():
             continue  # the records of invalid fields
         out.add((p, k, modulus))
     return sorted(out, key=str)
+
+
+def _monic_polys(p, k):
+    """Every monic degree-k polynomial over F_p, little-endian, in base-p
+    order of the lower coefficients."""
+    for n in range(p ** k):
+        coeffs = []
+        for _ in range(k):
+            n, digit = divmod(n, p)
+            coeffs.append(digit)
+        yield tuple(coeffs) + (1,)
+
+
+def _divides(div, poly, p):
+    """Whether the monic polynomial div divides poly over F_p."""
+    rem = list(poly)
+    dd = len(div) - 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] % p
+        if c:
+            for j in range(dd + 1):
+                rem[i - dd + j] -= c * div[j]
+    return all(c % p == 0 for c in rem[:dd])
+
+
+def _irreducible_by_trial_division(poly, p):
+    """The reference the Ben-Or test replaced: no monic divisor of degree
+    1 .. k/2."""
+    k = len(poly) - 1
+    return all(
+        not _divides(div, poly, p) for d in range(1, k // 2 + 1) for div in _monic_polys(p, d)
+    )
+
+
+class TestBenOrAgainstTrialDivision:
+    #: (p, largest k): 2^11 + 3^7 + 5^5 + 7^4 + 11^3 + 13^3 monic polynomials of top degree
+    GRID = {2: 11, 3: 7, 5: 5, 7: 4, 11: 3, 13: 3}
+
+    @pytest.mark.parametrize("p", sorted(GRID))
+    def test_every_monic_polynomial(self, p):
+        tested = 0
+        for k in range(1, self.GRID[p] + 1):
+            for poly in _monic_polys(p, k):
+                assert polynomials.is_irreducible(poly, p) == _irreducible_by_trial_division(poly, p), poly
+                tested += 1
+        assert tested == sum(p ** k for k in range(1, self.GRID[p] + 1))
+
+    #: the grid p <= 13, k <= 6, and every extension field of the golden CLI records
+    FIRST_SURVIVOR_FIELDS = sorted(
+        {(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 7)}
+        | {(p, k) for p, k, _ in _golden_cli_fields() if k >= 2}
+    )
+
+    @pytest.mark.parametrize("p, k", FIRST_SURVIVOR_FIELDS)
+    def test_canonical_modulus_is_first_survivor(self, p, k):
+        first = next(poly for poly in _monic_polys(p, k) if _irreducible_by_trial_division(poly, p))
+        assert find_irreducible(p, k) == make_field(p, k).modulus == first
+
+    def test_degree_thirteen(self):
+        # trial division would need about 13^6 divisors per candidate
+        field = make_field(13, 13)
+        assert field.modulus == (1, 12) + (0,) * 11 + (1,)  # t^13 - t + 1, an Artin-Schreier polynomial
+        assert str(field.g) == "0,2" + ",0" * 11
+
+    @pytest.mark.parametrize("p, k, modulus", [(7, 6, None), (2, 10, None), (7, 2, (3, 1, 1)), (13, 4, (2, 0, 0, 0, 1))])
+    def test_one_test_of_the_final_modulus(self, monkeypatch, p, k, modulus):
+        tested = []
+        original = polynomials.is_irreducible
+
+        def counted(poly, q):
+            tested.append(tuple(poly))
+            return original(poly, q)
+
+        monkeypatch.setattr(polynomials, "is_irreducible", counted)
+        field = make_field(p, k, modulus)
+        assert tested.count(field.modulus) == 1
+        if modulus is not None:
+            assert tested == [field.modulus]
 
 
 def _full_walk_generator(field):

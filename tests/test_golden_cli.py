@@ -33,7 +33,7 @@ def test_cli_output_unchanged(capsys, record):
 
 #: Requests refused before any heavy work: (argv, exit code, error type).
 REFUSALS = [
-    (["constants", "--p", "10000000000051"], 2, "resource"),  # above the (c, d) search cap
+    (["constants", "--p", "2000248000727"], 2, "resource"),  # p - 1 beyond the factoring cap
     (["series", "--p", "31", "--z", "c1", "--n-terms", "49999"], 2, "resource"),
 ]
 

@@ -40,6 +40,13 @@ def test_cli_count_call_skips_verify_and_oracle():
     assert _loaded_after(statement, CLI_FORBIDDEN) == []
 
 
+def test_polynomials_load_only_for_an_extension_field():
+    prime_call = "from diagcubic.cli import _respond; _respond(['constants', '--p', '31'])"
+    assert _loaded_after(prime_call, ("diagcubic.polynomials",)) == []
+    extension = "from diagcubic import make_field; make_field(7, 2)"
+    assert _loaded_after(extension, ("diagcubic.polynomials",)) == ["diagcubic.polynomials"]
+
+
 def test_verify_import_skips_dataclasses():
     assert _loaded_after("import diagcubic.verify", ("dataclasses", "inspect")) == []
 

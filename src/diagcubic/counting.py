@@ -45,7 +45,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .constants import CubicData, cd_search, delta
+from .constants import CubicData, cubic_data, delta
 from .errors import DomainError, IntegrityError
 from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor
 
@@ -232,7 +232,8 @@ def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
         d~ != c (mod 4)  if y and 4 share a cubic class,
 
     so that T_3(y) = p^2 + (p-1) * (-c + 9 * d~) / 2.  Here c and d are both
-    odd, hence exactly one of +d, -d satisfies each branch.
+    odd, hence exactly one of +d, -d satisfies each branch.  (c, d) is read
+    from :func:`cubic_data`, which over F_p is (r1, |r2|) of the Jacobi sum.
     """
     if field.k != 1:
         raise DomainError("the mod-4 rule is stated over prime fields")
@@ -246,10 +247,11 @@ def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
     if cls_two is CubicClass.C0:
         raise DomainError(f"2 is cubic over F_{p}: the mod-4 rule does not apply")
     cls_four = field.cube_class(two * two)
-    c, d = cd_search(p, p)
+    data = cubic_data(field)
+    c, d = data.c, data.d
     if d % 2 == 0:
         raise IntegrityError(
-            f"cd_search gives even d = {d} over F_{p}, but cube_class puts 2 in {cls_two}, "
+            f"cubic_data gives even d = {d} over F_{p}, but cube_class puts 2 in {cls_two}, "
             f"not c0: d is even exactly when 2 is a cube"
         )
     if y_cls is cls_two:

@@ -17,7 +17,8 @@ Groups of checks, mirroring how the library is meant to be trusted:
 * even-degree adjudication: at q = 49 the oracle decides between the exact
   theta and the parity rule (the latter is impossible by integrality and is
   reported as a warning, not a failure);
-* bijective-cube sanity: q = 2 (mod 3) fields count q^(s-1) everywhere.
+* bijective-cube sanity: q != 1 (mod 3) fields, characteristic 3 among them,
+  count q^(s-1) everywhere.
 
 `full_report` returns a JSON-serializable report; any check with status
 "fail" marks the suite failed, "warn" entries are informational.
@@ -40,8 +41,12 @@ SUPPORTED_FIELDS = {
     31: (31, 1), 37: (37, 1), 43: (43, 1), 49: (7, 2), 61: (61, 1), 64: (2, 6),
 }
 
-#: q = 2 (mod 3) fields for the bijective-cube regime.
-TRIVIAL_FIELDS = {2: (2, 1), 5: (5, 1), 8: (2, 3), 11: (11, 1)}
+#: q != 1 (mod 3) fields for the bijective-cube regime: q = 2 (mod 3), and
+#: characteristic 3, where cubing is the Frobenius automorphism.
+TRIVIAL_FIELDS = {
+    2: (2, 1), 5: (5, 1), 8: (2, 3), 11: (11, 1),
+    3: (3, 1), 9: (3, 2), 27: (3, 3), 81: (3, 4),
+}
 
 JACOBI_SCAN_BOUND = 10_000
 MOD4_PRIME_BOUND = 200
@@ -369,7 +374,7 @@ def check_even_degree_adjudication() -> list[Check]:
 
 
 def check_bijective_fields() -> list[Check]:
-    """q = 2 (mod 3): every count is q^(s-1), closed form and brute force."""
+    """q != 1 (mod 3): every count is q^(s-1), closed form and brute force."""
     checks = []
     for q, (p, k) in TRIVIAL_FIELDS.items():
         field = make_field(p, k)

@@ -102,8 +102,8 @@ def test_criterion_6_even_degree_adjudication():
 
 
 def test_criterion_7_bijective_cube_sanity():
-    """q in {2, 5, 8, 11}: every count is q^(s-1), closed form and brute
-    force, s <= 4, all targets."""
+    """q in {2, 5, 8, 11} and characteristic 3 (q in {3, 9, 27, 81}): every
+    count is q^(s-1), closed form and brute force, s <= 4, all targets."""
     checks = verify.check_bijective_fields()
     for q, (p, k) in verify.TRIVIAL_FIELDS.items():
         field = make_field(p, k)
@@ -117,3 +117,16 @@ def test_full_report_is_green():
     assert report["ok"] is True
     assert report["failed"] == 0
     assert report["warnings"] >= 1  # the documented parity-rule finding
+
+
+def test_jacobi_scan_coverage_is_pinned():
+    """The full report scans every prime p = 1 (mod 3) up to 10^4, so a faster
+    witness cannot come from a narrower scan."""
+    assert verify.JACOBI_SCAN_BOUND == 10_000
+    report = verify.full_report()
+    scan = [c for c in report["checks"] if c["name"] == "jacobi-scan"][0]
+    assert scan["status"] == "pass"
+    assert scan["observed"] == "611 primes verified"
+    assert scan["detail"].endswith("p <= 10000")
+    bijective = [c["name"] for c in report["checks"] if c["name"].startswith("bijective/")]
+    assert bijective == [f"bijective/q={q}" for q in (2, 5, 8, 11, 3, 9, 27, 81)]

@@ -225,6 +225,20 @@ class TestSignedDMod4:
                 t3 = p * p + (p - 1) * (-data.c + 9 * signed) // 2
                 assert t3 == twisted3_closed(data, cls)
 
+    def test_beyond_the_search_cap(self):
+        # (c, d) comes from cubic_data, so p past the cap of cd_search answers
+        assert not hasattr(counting_module, "cd_search")
+        p = 10_000_000_000_051
+        field = make_field(p)
+        data = cubic_data(field)
+        cls_two = field.cube_class(field.element([2]))
+        assert cls_two is not C0
+        for cls in (C1, C2):
+            signed = signed_d_mod4(field, cls)
+            assert signed == -delta(data, cls) * data.d
+            assert (signed % 4 == data.c % 4) == (cls is cls_two)
+        assert 4 * p == data.c ** 2 + 27 * data.d ** 2
+
     def test_domain_errors(self, f49):
         with pytest.raises(DomainError):
             signed_d_mod4(f49, C1)  # extension field
@@ -247,6 +261,7 @@ class TestCharacteristicThree:
 
 class TestSignedDMod4Message:
     def test_even_d_names_both_routes(self, monkeypatch, f7):
-        monkeypatch.setattr(counting_module, "cd_search", lambda q, p: (1, 2))
-        with pytest.raises(IntegrityError, match=r"cd_search gives even d = 2 over F_7, but cube_class puts 2 in c[12]"):
+        real = counting_module.cubic_data
+        monkeypatch.setattr(counting_module, "cubic_data", lambda field: real(field)._replace(d=2))
+        with pytest.raises(IntegrityError, match=r"cubic_data gives even d = 2 over F_7, but cube_class puts 2 in c[12]"):
             signed_d_mod4(f7, C1)

@@ -193,6 +193,62 @@ class TestCornacchiaRoute:
         assert "Cornacchia route gives -1-6*w" in message and "direct sum gives 5+6*w" in message
 
 
+def _jacobi_sum_walk(p, gen):
+    """The direct sum by the full generator walk it had before the half walk:
+    ind(x) mod 3 for x = gen^j, three steps at a time, then the bytewise tally."""
+    index = bytearray(p)
+    gen3 = pow(gen, 3, p)
+    x = 1
+    for _ in range((p - 1) // 3):
+        y = x * gen % p
+        index[y] = 1
+        index[y * gen % p] = 2
+        x = x * gen3 % p
+    head = index[2:]
+    total = int.from_bytes(head, "little") + int.from_bytes(head[::-1], "little")
+    sums = total.to_bytes(p - 2, "little")
+    n0 = sums.count(0) + sums.count(3)
+    n1 = sums.count(1) + sums.count(4)
+    n2 = sums.count(2)
+    return EisensteinInt(n0 - n2, n1 - n2)
+
+
+def _other_coset_generator(p, gen):
+    """gen^e with e = 2 (mod 3) and gcd(e, p - 1) = 1, which sends chi to chi^2."""
+    return pow(gen, next(e for e in range(2, p, 3) if gcd(e, p - 1) == 1), p)
+
+
+class TestHalfWalk:
+    """The half walk of jacobi_sum_direct against the full generator walk it
+    replaced."""
+
+    def test_equals_full_walk_below_2e4(self):
+        scanned = 0
+        for p in primes_up_to(20_000):
+            if p % 3 != 1:
+                continue
+            gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+            for g in (gen, _other_coset_generator(p, gen)):
+                assert jacobi_sum_direct(p, g) == _jacobi_sum_walk(p, g), (p, g)
+            scanned += 1
+        assert scanned == 1124
+
+    @pytest.mark.parametrize("p, k", [(7, 2), (31, 3), (307, 5), (643, 7), (5113, 11)])
+    def test_least_non_cube(self, p, k):
+        # the class of the least non-cube k is moved by k strided slice copies
+        e = (p - 1) // 3
+        assert next(x for x in range(2, p) if pow(x, e, p) != 1) == k
+        generators = [g for g in range(2, p) if _is_primitive_root(g, p)][:20]
+        assert {pow(g, e, p) for g in generators} == {pow(k, e, p), pow(k, 2 * e, p)}
+        for g in generators:
+            assert jacobi_sum_direct(p, g) == _jacobi_sum_walk(p, g), (p, g)
+
+    def test_near_the_cap(self):
+        p = 9_999_991
+        gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+        assert jacobi_sum_direct(p, gen) == jacobi_sum_cubic(p, gen)
+
+
 class TestDirectSumDefinition:
     """The direct sum against its definition, independent of the Cornacchia
     route and of the witness's discrete-log walk and tally."""

@@ -23,13 +23,20 @@ v_i = w_i + (q-1) u_i (i = 1, 2, 3), and theta enters the twisted counts only
 through the diagonal seeds.
 
 A single count N_s or T_s is the s-th term of that order-3 recurrence and is
-computed in O(log s) multiplications: x^(s-1) modulo the characteristic
-polynomial x^3 - 3q*x - qc by square-and-multiply (Fiduccia, "An efficient
-formula for linear recurrences", SIAM J. Comput. 1985) gives
-x^(s-1) = r0 + r1*x + r2*x^2, and then u_s = r0*u_1 + r1*u_2 + r2*u_3.
-Each single count raises x and q to a power once.  A series window of
-n terms costs n recurrence steps plus n multiplications by q (the running
-power q^(s-1) is carried along the walk), with no per-term power.
+computed in O(log s) multiplications (Fiduccia, "An efficient formula for
+linear recurrences", SIAM J. Comput. 1985): for x^(s-1) = r0 + r1*x + r2*x^2
+modulo the characteristic polynomial f = x^3 - 3q*x - qc, u_s = r0*u_1 +
+r1*u_2 + r2*u_3.  As x^3 = q(3x + c) mod f, x^(3m) = q^m (3x + c)^m, so with
+s - 1 = 3m + r the power is q^m * x^r * (3x + c)^m: square-and-multiply
+raises 3x + c to the power m, r < 3 steps multiply by x, and q^m multiplies
+the final sum.  The exponent is a third of s - 1, and the coefficients have
+about (s - 1)(1 + log2(q)/6) bits against (s - 1)(1 + log2(q)/2) for those
+of x^(s-1), 2.4 times fewer for q = 13^4 and up to three times: the Gauss
+sums carry a third of the p-adic valuation of q (Stickelberger).
+
+A series window of n terms costs n recurrence steps plus n multiplications
+by q (the running power q^(s-1) is carried along the walk), with no
+per-term power.
 
 For q = 2 (mod 3) the cube map is a bijection and every count is q^(s-1).  So
 it is in characteristic 3, where cubing is the Frobenius automorphism; see
@@ -98,40 +105,39 @@ def _window(seeds: tuple[int, int, int], q: int, c: int, q_power: int, n: int) -
     return tuple(terms)
 
 
-def _x_power(n: int, q: int, c: int) -> tuple[int, int, int]:
-    """(r0, r1, r2) with x^n = r0 + r1*x + r2*x^2 modulo x^3 - 3q*x - qc.
+def _term_at(n: int, seeds: tuple[int, int, int], q: int, c: int) -> int:
+    """x_{n+1} of the recurrence x_s = 3q x_{s-2} + qc x_{s-3} from seeds.
 
-    Left-to-right square-and-multiply with the reduction x^3 = 3q*x + qc:
-    O(log n) multiplications of exact integers.  n < 3 needs no arithmetic.
+    With f = x^3 - 3q*x - qc its characteristic polynomial, x_{n+1} =
+    r0*x_1 + r1*x_2 + r2*x_3 for x^n = r0 + r1*x + r2*x^2 mod f.  Since
+    x^3 = q(3x + c) mod f, x^n = q^m * x^r * (3x + c)^m for n = 3m + r, so
+    (3x + c)^m is raised by left-to-right square-and-multiply, then
+    multiplied r < 3 times by x, and q^m multiplies the final sum: O(log m)
+    multiplications of integers up to three times shorter than those of x^n.
     """
-    if n < 3:
-        return (1, 0, 0) if n == 0 else (0, 1, 0) if n == 1 else (0, 0, 1)
+    m, r = divmod(n, 3)
     three_q, qc = 3 * q, q * c
+    nine_q, three_qc = 3 * three_q, 3 * qc
     r0, r1, r2 = 1, 0, 0
-    for bit in bin(n)[2:]:
+    for bit in bin(m)[2:]:
         # (r0 + r1 x + r2 x^2)^2 = p0 + p1 x + p2 x^2 + p3 x^3 + p4 x^4,
         # reduced with x^3 = 3q x + qc and x^4 = 3q x^2 + qc x
         p0, p1, p2 = r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2
         p3, p4 = 2 * r1 * r2, r2 * r2
         r0, r1, r2 = p0 + qc * p3, p1 + three_q * p3 + qc * p4, p2 + three_q * p4
-        if bit == "1":  # times x
-            r0, r1, r2 = qc * r2, r0 + three_q * r2, r1
-    return r0, r1, r2
-
-
-def _term(power: tuple[int, int, int], seeds: tuple[int, int, int]) -> int:
-    """x_{n+1} of the recurrence started from seeds, given power = x^n
-    modulo its characteristic polynomial (see :func:`_x_power`)."""
-    r0, r1, r2 = power
+        if bit == "1":  # times 3x + c
+            r0, r1, r2 = c * r0 + three_qc * r2, 3 * r0 + c * r1 + nine_q * r2, 3 * r1 + c * r2
+    for _ in range(r):  # times x
+        r0, r1, r2 = qc * r2, r0 + three_q * r2, r1
     x1, x2, x3 = seeds
-    return r0 * x1 + r1 * x2 + r2 * x3
+    return q ** m * (r0 * x1 + r1 * x2 + r2 * x3)
 
 
 def excess_at(data: CubicData, cls: CubicClass, s: int, theta_source: str = "exact") -> int:
     """u_s for a nonzero target class, any s >= 1, exact."""
     if s < 1:
         raise DomainError("the deviation sequence starts at s = 1")
-    return _term(_x_power(s - 1, data.q, data.c), excess_seeds(data, cls, theta_source))
+    return _term_at(s - 1, excess_seeds(data, cls, theta_source), data.q, data.c)
 
 
 def _seeds(data: CubicData, target: CubicClass, theta_source: str) -> tuple[int, int, int]:
@@ -157,7 +163,7 @@ def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: st
 def _count(data: CubicData, s: int, n: int, seeds: tuple[int, int, int], target: CubicClass) -> int:
     """q^(s-1) + x_{n+1} of the recurrence from seeds: N_s for n = s - 1 and
     the diagonal seeds, T_s for n = s - 2 and the twisted ones."""
-    value = data.q ** (s - 1) + _term(_x_power(n, data.q, data.c), seeds)
+    value = data.q ** (s - 1) + _term_at(n, seeds, data.q, data.c)
     if value < 0:
         raise IntegrityError(f"negative count {value} for s = {s}, target {target}")
     return value

@@ -15,7 +15,8 @@ Irreducibility is decided by Ben-Or's test (:mod:`diagcubic.polynomials`),
 and each field tests its modulus once: the canonical one in the candidate
 scan of :func:`find_irreducible`, a given one in the constructor.  The
 tests of one field may cost at most ``polynomials.MAX_IRREDUCIBILITY_COST``;
-beyond it construction is refused with a ResourceError.
+beyond it construction is refused with a ResourceError.  The scan is charged
+what each candidate's test used, and most candidates fail early.
 
 Textual form used by the CLI: ``p^k/modulus-coeffs/g-coeffs`` with
 comma-separated little-endian coefficient lists, e.g. ``7^2/1,0,1/2,1``.
@@ -82,9 +83,12 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
     "Smallest" orders the non-leading coefficient vectors (a0, ..., a_{k-1})
     as base-p integers with the constant term least significant.  Each
-    candidate gets one Ben-Or test, and the scan refuses with a
-    ResourceError once its tests would cost more than
-    ``polynomials.MAX_IRREDUCIBILITY_COST`` (at once if a single test would).
+    candidate gets one Ben-Or test, charged the cost it used
+    (:func:`polynomials.ben_or`) up to that of a full test,
+    ``polynomials.irreducibility_cost(p, k)``.  The scan refuses with a
+    ResourceError before a candidate whose full test would take the charges
+    over ``polynomials.MAX_IRREDUCIBILITY_COST`` (at once if a single test
+    would).
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -93,15 +97,18 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     from . import polynomials  # on first use: a prime field tests no modulus
 
     cap = polynomials.MAX_IRREDUCIBILITY_COST
-    candidates = cap // polynomials.irreducibility_cost(p, k)  # before _monic_polys forms p^k
+    full = polynomials.irreducibility_cost(p, k)  # before _monic_polys forms p^k
+    spent = 0
     for tested, poly in enumerate(_monic_polys(p, k)):
-        if tested == candidates:
+        if spent + full > cap:
             raise ResourceError(
-                f"no irreducible polynomial of degree {k} over F_{p} among the first {candidates} "
-                f"candidates, the most that the cap of {cap} allows"
+                f"no irreducible polynomial of degree {k} over F_{p} among the first {tested} "
+                f"candidates, charged {spent}: one more test of cost {full} would pass the cap of {cap}"
             )
-        if polynomials.is_irreducible(poly, p):
+        irreducible, cost = polynomials.ben_or(poly, p)
+        if irreducible:
             return poly
+        spent += min(cost, full)
     raise IntegrityError(f"no irreducible polynomial of degree {k} over F_{p}")  # unreachable
 
 

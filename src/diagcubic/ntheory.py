@@ -6,19 +6,36 @@ from math import isqrt
 
 from .errors import ResourceError
 
-#: The first 13 primes: Miller-Rabin with these bases is deterministic below
-#: _MILLER_RABIN_LIMIT (Sorenson and Webster, 2015).
+#: The first 13 primes, the Miller-Rabin bases.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+#: (psi, j): the first j bases decide every n < psi, the least strong
+#: pseudoprime to all of them (Jaeschke 1993; Jiang and Deng 2014 for j = 9;
+#: Sorenson and Webster 2015 for j = 12, 13).  The last psi is the limit of
+#: the test.
+_MILLER_RABIN_BOUNDS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MILLER_RABIN_LIMIT = _MILLER_RABIN_BOUNDS[-1][0]
 
 #: Largest trial divisor prime_factors tries while the cofactor is still composite.
 _MAX_TRIAL_DIVISOR = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality over the first 13 prime bases.
+    """Deterministic Miller-Rabin primality over the fewest of the first 13
+    prime bases that the bounds in ``_MILLER_RABIN_BOUNDS`` allow for n.
 
-    n at or above 3.317 * 10^24, where these bases are no longer known to
+    n at or above 3.317 * 10^24, where the 13 bases are no longer known to
     suffice, is refused with a ResourceError.
     """
     if n >= _MILLER_RABIN_LIMIT:
@@ -30,11 +47,12 @@ def is_prime(n: int) -> bool:
     for a in _MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
+    bases = next(j for psi, j in _MILLER_RABIN_BOUNDS if n < psi)
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MILLER_RABIN_BASES:
+    for a in _MILLER_RABIN_BASES[:bases]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

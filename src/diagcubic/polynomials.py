@@ -17,8 +17,9 @@ from .errors import ResourceError
 #: Largest cost the irreducibility tests of one field may take, in the units
 #: of :func:`irreducibility_cost`, about k^2 * (k + log2 p) coefficient
 #: operations per Ben-Or test of a degree-k polynomial over F_p.  A given
-#: modulus needs one test; the scan for the canonical one tests at most
-#: cap // cost candidates.  Either stays within about 0.3 s.
+#: modulus needs one test; the scan for the canonical one charges each
+#: candidate what its test used (:func:`ben_or`), at most one full test.
+#: Either stays within about 0.3 s.
 MAX_IRREDUCIBILITY_COST = 4 * 10**6
 
 
@@ -62,7 +63,8 @@ def _mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> li
 
 def _x_pow_mod(e: int, f: Sequence[int], p: int) -> list[int]:
     """x^e mod f over F_p by square-and-multiply, for e >= 1 and f monic of
-    degree >= 2."""
+    degree >= 2.  Takes e.bit_length() - 1 squarings and one step "times x"
+    for each further 1 bit of e."""
     k = len(f) - 1
     result = [0, 1] + [0] * (k - 2)
     for bit in bin(e)[3:]:
@@ -91,21 +93,35 @@ def irreducibility_cost(p: int, k: int) -> int:
 
 
 def is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Ben-Or's test for f monic of degree k >= 1 over F_p: f is irreducible
-    iff gcd(x^(p^i) - x, f) = 1 for i = 1 .. k/2, since a reducible f has an
-    irreducible factor of some degree i <= k/2, which divides x^(p^i) - x.
+    """Ben-Or's test for f monic of degree k >= 1 over F_p; see :func:`ben_or`."""
+    return ben_or(f, p)[0]
+
+
+def ben_or(f: Sequence[int], p: int) -> tuple[bool, int]:
+    """(whether f is irreducible, what the test cost) for f monic of degree
+    k >= 1 over F_p.  f is irreducible iff gcd(x^(p^i) - x, f) = 1 for
+    i = 1 .. k/2, since a reducible f has an irreducible factor of some
+    degree i <= k/2, which divides x^(p^i) - x.
 
     The Frobenius map h -> h^p is F_p-linear, so once x^p mod f is known
     the table of x^(p*j) mod f (j < k) gives each next power x^(p^(i+1))
     in one matrix-vector product.  The table is built only for an f that
     passes the step i = 1, that is, has no root in F_p.
+
+    The cost counts 2k^2 + 64 coefficient operations for each step the test
+    ran: a step of x^p mod f (squaring or times x), a product of the table,
+    a matrix-vector product or a gcd.  A product mod f takes k^2
+    multiplications and up to k^2 more to reduce it; at k^2 + 64 a step,
+    scans over small p at large k ran longer than the worst refusal of the
+    full-test estimate :func:`irreducibility_cost`.
     """
     k = len(f) - 1
     if k < 2:
-        return k == 1
+        return k == 1, 0
     if f[0] == 0:
-        return False  # x divides f
+        return False, 0  # x divides f
     frob = h = _x_pow_mod(p, f, p)
+    steps = p.bit_length() + bin(p).count("1") - 2
     table = None
     for i in range(1, k // 2 + 1):
         if i > 1:
@@ -113,14 +129,17 @@ def is_irreducible(f: Sequence[int], p: int) -> bool:
                 table = [[1] + [0] * (k - 1), frob]
                 for _ in range(2, k):
                     table.append(_mul_mod(table[-1], frob, f, p))
+                steps += k - 2
             acc = [0] * k
             for hj, row in zip(h, table):
                 if hj:
                     for j, r in enumerate(row):
                         acc[j] += hj * r
             h = [c % p for c in acc]
+            steps += 1
         h_minus_x = list(h)
         h_minus_x[1] = (h_minus_x[1] - 1) % p
+        steps += 1
         if not _is_coprime(f, h_minus_x, p):
-            return False
-    return True
+            return False, (2 * k * k + 64) * steps
+    return True, (2 * k * k + 64) * steps

@@ -469,6 +469,18 @@ class TestTwistedIntegrity:
                        "theta source 'paper' is inconsistent with this field",
         }
 
+    @pytest.mark.parametrize("s", ("2", "20000"))
+    @pytest.mark.parametrize("target", (("--z", "c1"), ("--z", "c2"), ("--y", "c1"), ("--y", "c2")))
+    def test_paper_theta_refused_on_f49_at_any_s(self, capsys, s, target):
+        # the seeds are checked before any power is taken, small s or large
+        code, out = run_cli(capsys, "count", "--p", "7", "--k", "2", "--s", s, *target, "--theta-source", "paper")
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "integrity",
+            "message": "second seed -17/2 is not an integer for q = 49: "
+                       "theta source 'paper' is inconsistent with this field",
+        }
+
 
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""

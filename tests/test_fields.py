@@ -265,7 +265,7 @@ class TestTrialDivisionCap:
         def no_test(poly, p):
             raise AssertionError("an irreducibility test ran")
 
-        monkeypatch.setattr(polynomials, "is_irreducible", no_test)
+        monkeypatch.setattr(polynomials, "ben_or", no_test)
         # (200^2 + 64) * (200 + 4) = 8,173,056: about twice the cap, refused before any test
         with pytest.raises(ResourceError, match="costs about 8173056 steps"):
             find_irreducible(13, 200)
@@ -278,13 +278,17 @@ class TestTrialDivisionCap:
 
     def test_boundary(self, monkeypatch):
         # one test of degree 4 over F_13 costs (16 + 64) * (4 + 4) = 640; the
-        # canonical t^4 + 2 is the third candidate, after t^4 and t^4 + 1
+        # canonical t^4 + 2 is the third candidate, after t^4, charged nothing
+        # (t divides it), and t^4 + 1, which has no root and fails at the
+        # second step, charged a full test
         cost = polynomials.irreducibility_cost(13, 4)
         assert cost == 640
-        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", 3 * cost)
+        assert polynomials.ben_or((0, 0, 0, 0, 1), 13) == (False, 0)
+        assert polynomials.ben_or((1, 0, 0, 0, 1), 13) == (False, 960)  # 10 steps of 2 * 16 + 64
+        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", 2 * cost)
         assert find_irreducible(13, 4) == make_field(13, 4).modulus == (2, 0, 0, 0, 1)
-        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", 3 * cost - 1)
-        with pytest.raises(ResourceError, match="among the first 2 candidates"):
+        monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", 2 * cost - 1)
+        with pytest.raises(ResourceError, match="among the first 2 candidates, charged 640"):
             find_irreducible(13, 4)
         monkeypatch.setattr(polynomials, "MAX_IRREDUCIBILITY_COST", cost)
         assert make_field(13, 4, modulus=(2, 0, 0, 0, 1)).q == 13 ** 4  # one test fits exactly
@@ -293,6 +297,38 @@ class TestTrialDivisionCap:
             make_field(13, 4, modulus=(2, 0, 0, 0, 1))
         with pytest.raises(ResourceError):
             find_irreducible(13, 4)
+
+    def test_degree_forty_over_f2(self):
+        # the canonical modulus is the 58th candidate, and 58 full tests would
+        # pass the cap, but most candidates fail at the first step
+        assert 58 * polynomials.irreducibility_cost(2, 40) > polynomials.MAX_IRREDUCIBILITY_COST
+        field = make_field(2, 40)
+        assert field.modulus == (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,)  # t^40 + t^5 + t^4 + t^3 + 1
+        assert str(field.g) == "0,1" + ",0" * 38
+
+    def test_charges_what_each_candidate_used(self, monkeypatch):
+        charges = []
+        original = polynomials.ben_or
+
+        def recorded(poly, q):
+            verdict = original(poly, q)
+            charges.append(verdict[1])
+            return verdict
+
+        monkeypatch.setattr(polynomials, "ben_or", recorded)
+        cap = polynomials.MAX_IRREDUCIBILITY_COST
+        # each candidate is charged its own cost, at most one full test
+        full = polynomials.irreducibility_cost(2, 100)
+        with pytest.raises(ResourceError) as refused:
+            find_irreducible(2, 100)
+        spent = sum(min(c, full) for c in charges)
+        assert f"among the first {len(charges)} candidates, charged {spent}:" in str(refused.value)
+        assert spent <= cap < spent + full
+        charges.clear()
+        full = polynomials.irreducibility_cost(2, 40)
+        find_irreducible(2, 40)
+        assert len(charges) == 58
+        assert sum(min(c, full) for c in charges[:-1]) + full <= cap < 58 * full
 
     def test_malformed_modulus_of_huge_degree_is_rejected_first(self):
         # the modulus length is checked before q = p^k is formed
@@ -384,13 +420,13 @@ class TestBenOrAgainstTrialDivision:
     @pytest.mark.parametrize("p, k, modulus", [(7, 6, None), (2, 10, None), (7, 2, (3, 1, 1)), (13, 4, (2, 0, 0, 0, 1))])
     def test_one_test_of_the_final_modulus(self, monkeypatch, p, k, modulus):
         tested = []
-        original = polynomials.is_irreducible
+        original = polynomials.ben_or
 
         def counted(poly, q):
             tested.append(tuple(poly))
             return original(poly, q)
 
-        monkeypatch.setattr(polynomials, "is_irreducible", counted)
+        monkeypatch.setattr(polynomials, "ben_or", counted)
         field = make_field(p, k, modulus)
         assert tested.count(field.modulus) == 1
         if modulus is not None:

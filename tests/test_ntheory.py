@@ -19,7 +19,55 @@ def _trial_division(n):
     return True
 
 
+def _strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the Miller-Rabin round to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime_13_bases(n):
+    """The test is_prime ran before it chose its bases by the size of n:
+    every one of the first 13 prime bases, whatever n."""
+    if n < 2:
+        return False
+    for a in ntheory._MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    return all(_strong_probable_prime(n, a) for a in ntheory._MILLER_RABIN_BASES)
+
+
 class TestIsPrime:
+    def test_matches_sieve_below_1e6(self):
+        assert [n for n in range(10**6) if is_prime(n)] == primes_up_to(10**6)
+
+    @pytest.mark.parametrize("psi, bases", ntheory._MILLER_RABIN_BOUNDS)
+    def test_bounds_are_strong_pseudoprimes(self, psi, bases):
+        # psi is composite but fools every base of its row, so those bases
+        # decide n only below psi, and psi itself needs the next row's
+        first = ntheory._MILLER_RABIN_BASES[:bases]
+        assert psi % 2 and all(psi % a for a in first)
+        assert all(_strong_probable_prime(psi, a) for a in first)
+        assert not all(_strong_probable_prime(psi, a) for a in range(2, 100))  # a witness: psi is composite
+        if psi < ntheory._MILLER_RABIN_LIMIT:
+            assert not _is_prime_13_bases(psi)
+
+    @pytest.mark.parametrize("psi, bases", ntheory._MILLER_RABIN_BOUNDS)
+    def test_agrees_with_13_bases_at_each_threshold(self, psi, bases):
+        if psi < ntheory._MILLER_RABIN_LIMIT:
+            assert not is_prime(psi)
+        for n in range(psi - 200, min(psi + 200, ntheory._MILLER_RABIN_LIMIT)):
+            assert is_prime(n) == _is_prime_13_bases(n), n
+
     def test_matches_trial_division_below_2e5(self):
         assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if _trial_division(n)]
 

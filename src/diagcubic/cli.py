@@ -282,13 +282,19 @@ def _tsv_lines(result: dict) -> list[str]:
 
 def _render(payload: dict, fmt: str) -> str:
     # Python >= 3.11 converts at most 4300 digits by default (0 means no limit);
-    # every count under the output cap prints exactly
+    # every count under the output cap prints exactly, and the interpreter's
+    # own limit is restored for whatever runs next in the process
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if 0 < limit < _MAX_OUTPUT_DIGITS:
+    raised = 0 < limit < _MAX_OUTPUT_DIGITS
+    if raised:
         sys.set_int_max_str_digits(_MAX_OUTPUT_DIGITS)
-    if fmt == "tsv":
-        return "\n".join(_tsv_lines(payload["result"]))
-    return json.dumps(payload, sort_keys=True)
+    try:
+        if fmt == "tsv":
+            return "\n".join(_tsv_lines(payload["result"]))
+        return json.dumps(payload, sort_keys=True)
+    finally:
+        if raised:
+            sys.set_int_max_str_digits(limit)
 
 
 def _error(kind: str, message: str) -> str:

@@ -32,7 +32,10 @@ raises 3x + c to the power m, r < 3 steps multiply by x, and q^m multiplies
 the final sum.  The exponent is a third of s - 1, and the coefficients have
 about (s - 1)(1 + log2(q)/6) bits against (s - 1)(1 + log2(q)/2) for those
 of x^(s-1), 2.4 times fewer for q = 13^4 and up to three times: the Gauss
-sums carry a third of the p-adic valuation of q (Stickelberger).
+sums carry a third of the p-adic valuation of q (Stickelberger).  Repeated
+counts at the same (q, c, s) share the power (3x + c)^m and the powers of q
+through a bounded memo: the four targets of N_s take one power, and so do
+both classes of T_s, the same one as N_s unless 3 divides s - 1.
 
 A series window of n terms costs n recurrence steps plus n multiplications
 by q (the running power q^(s-1) is carried along the walk), with no
@@ -49,6 +52,7 @@ counts keyed to a concrete element z are generator-independent.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -105,17 +109,22 @@ def _window(seeds: tuple[int, int, int], q: int, c: int, q_power: int, n: int) -
     return tuple(terms)
 
 
-def _term_at(n: int, seeds: tuple[int, int, int], q: int, c: int) -> int:
-    """x_{n+1} of the recurrence x_s = 3q x_{s-2} + qc x_{s-3} from seeds.
+#: Entries kept by each of the power memos :func:`_cube_power` and
+#: :func:`_q_power`.
+_POWER_MEMO_SIZE = 8
 
-    With f = x^3 - 3q*x - qc its characteristic polynomial, x_{n+1} =
-    r0*x_1 + r1*x_2 + r2*x_3 for x^n = r0 + r1*x + r2*x^2 mod f.  Since
-    x^3 = q(3x + c) mod f, x^n = q^m * x^r * (3x + c)^m for n = 3m + r, so
-    (3x + c)^m is raised by left-to-right square-and-multiply, then
-    multiplied r < 3 times by x, and q^m multiplies the final sum: O(log m)
-    multiplications of integers up to three times shorter than those of x^n.
+
+@lru_cache(maxsize=_POWER_MEMO_SIZE)
+def _cube_power(m: int, q: int, c: int) -> tuple[int, int, int]:
+    """(r0, r1, r2) with (3x + c)^m = r0 + r1*x + r2*x^2 modulo
+    x^3 - 3q*x - qc, by left-to-right square-and-multiply.
+
+    Memoised, as is :func:`_q_power`: the power does not depend on the seeds,
+    so the four targets of N_s and the two classes of T_s at one (q, c, s)
+    share it.  Each memo keeps at most _POWER_MEMO_SIZE entries, each of at
+    most three integers no longer than the largest count requested; at the
+    CLI's output cap of 10^5 digits both memos together hold under 1 MB.
     """
-    m, r = divmod(n, 3)
     three_q, qc = 3 * q, q * c
     nine_q, three_qc = 3 * three_q, 3 * qc
     r0, r1, r2 = 1, 0, 0
@@ -127,10 +136,32 @@ def _term_at(n: int, seeds: tuple[int, int, int], q: int, c: int) -> int:
         r0, r1, r2 = p0 + qc * p3, p1 + three_q * p3 + qc * p4, p2 + three_q * p4
         if bit == "1":  # times 3x + c
             r0, r1, r2 = c * r0 + three_qc * r2, 3 * r0 + c * r1 + nine_q * r2, 3 * r1 + c * r2
+    return r0, r1, r2
+
+
+@lru_cache(maxsize=_POWER_MEMO_SIZE)
+def _q_power(q: int, e: int) -> int:
+    """q^e, memoised: q^m in :func:`_term_at` and q^(s-1) in :func:`_count`."""
+    return q ** e
+
+
+def _term_at(n: int, seeds: tuple[int, int, int], q: int, c: int) -> int:
+    """x_{n+1} of the recurrence x_s = 3q x_{s-2} + qc x_{s-3} from seeds.
+
+    With f = x^3 - 3q*x - qc its characteristic polynomial, x_{n+1} =
+    r0*x_1 + r1*x_2 + r2*x_3 for x^n = r0 + r1*x + r2*x^2 mod f.  Since
+    x^3 = q(3x + c) mod f, x^n = q^m * x^r * (3x + c)^m for n = 3m + r, so
+    (3x + c)^m is raised by :func:`_cube_power`, then multiplied r < 3 times
+    by x, and q^m multiplies the final sum: O(log m) multiplications of
+    integers up to three times shorter than those of x^n.
+    """
+    m, r = divmod(n, 3)
+    r0, r1, r2 = _cube_power(m, q, c)
+    three_q, qc = 3 * q, q * c
     for _ in range(r):  # times x
         r0, r1, r2 = qc * r2, r0 + three_q * r2, r1
     x1, x2, x3 = seeds
-    return q ** m * (r0 * x1 + r1 * x2 + r2 * x3)
+    return _q_power(q, m) * (r0 * x1 + r1 * x2 + r2 * x3)
 
 
 def excess_at(data: CubicData, cls: CubicClass, s: int, theta_source: str = "exact") -> int:
@@ -163,7 +194,7 @@ def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: st
 def _count(data: CubicData, s: int, n: int, seeds: tuple[int, int, int], target: CubicClass) -> int:
     """q^(s-1) + x_{n+1} of the recurrence from seeds: N_s for n = s - 1 and
     the diagonal seeds, T_s for n = s - 2 and the twisted ones."""
-    value = data.q ** (s - 1) + _term_at(n, seeds, data.q, data.c)
+    value = _q_power(data.q, s - 1) + _term_at(n, seeds, data.q, data.c)
     if value < 0:
         raise IntegrityError(f"negative count {value} for s = {s}, target {target}")
     return value

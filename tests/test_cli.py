@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagcubic import CubicClass, cli, count_diagonal, cubic_data, make_field, verify
+from diagcubic import CubicClass, cli, count_diagonal, counting, cubic_data, make_field, verify
+
+
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before Python 3.11"
+)
 
 
 def run_cli(capsys, *argv):
@@ -262,7 +267,8 @@ class TestOutputCap:
 
     @staticmethod
     def _exact(value: int) -> str:
-        # the test process keeps the interpreter's default int-to-str limit
+        # in-process CLI calls restore the interpreter's int-to-str limit
+        # (4300 digits by default), so the expected text lifts it here
         set_limit = getattr(sys, "set_int_max_str_digits", None)
         if set_limit is None:
             return str(value)
@@ -307,6 +313,44 @@ class TestOutputCap:
             assert code == 2
             assert out.count("\n") == 1
             assert json.loads(out)["error"]["type"] == "resource"
+
+    @needs_int_limit
+    @pytest.mark.parametrize("limit", (4300, 640, 0))
+    @pytest.mark.parametrize("argv, code", [
+        (("constants", "--p", "31"), 0),
+        (("count", "--p", "31", "--s", "3000", "--z", "c1"), 0),
+        (("count", "--p", "31", "--s", "3000", "--y", "c1", "--format", "tsv"), 0),
+        (("series", "--p", "31", "--z", "c1", "--n-terms", "3000", "--format", "tsv"), 0),
+        (("verify", "--format", "tsv"), 0),
+        (("count", "--p", "31", "--s", "3", "--z", "1", "--y", "3"), 2),
+        (("count", "--p", "2", "--s", "100001", "--z", "1"), 2),
+        (("count", "--p", "7", "--k", "2", "--s", "3", "--y", "c1", "--theta-source", "paper"), 3),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_int_limit_left_as_found(self, capsys, monkeypatch, argv, code, limit):
+        # the limit is raised only while the payload is rendered, and the
+        # process-wide value is the caller's again afterwards
+        monkeypatch.setattr(verify, "JACOBI_SCAN_BOUND", 300)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @needs_int_limit
+    def test_output_independent_of_the_int_limit(self, capsys):
+        outputs = set()
+        old = sys.get_int_max_str_digits()
+        try:
+            for limit in (4300, 640, 0):
+                sys.set_int_max_str_digits(limit)
+                outputs.add(run_cli(capsys, "count", "--p", "31", "--s", "3000", "--z", "c1"))
+        finally:
+            sys.set_int_max_str_digits(old)
+        [(code, out)] = outputs
+        expected = count_diagonal(cubic_data(make_field(31)), 3000, CubicClass.C1)
+        assert code == 0 and f'"value": {self._exact(expected)}}}' in out
 
 
 class TestResourceRefusals:
@@ -480,6 +524,25 @@ class TestTwistedIntegrity:
             "message": "second seed -17/2 is not an integer for q = 49: "
                        "theta source 'paper' is inconsistent with this field",
         }
+
+    @pytest.mark.parametrize("s", ("3", "20000"))
+    def test_paper_theta_refused_after_exact_counts(self, capsys, s):
+        # exact-theta counts over F_49 fill the power memo first; the refusal
+        # neither reads nor changes it
+        for target in (("--z", "c1"), ("--z", "c2"), ("--y", "c1"), ("--y", "c2")):
+            assert run_cli(capsys, "count", "--p", "7", "--k", "2", "--s", s, *target)[0] == 0
+        memos = (counting._cube_power, counting._q_power)
+        warm = [memo.cache_info() for memo in memos]
+        assert all(info.currsize for info in warm)
+        for target in (("--z", "c1"), ("--z", "c2"), ("--y", "c1"), ("--y", "c2")):
+            code, out = run_cli(capsys, "count", "--p", "7", "--k", "2", "--s", s, *target, "--theta-source", "paper")
+            assert code == 3
+            assert json.loads(out)["error"] == {
+                "type": "integrity",
+                "message": "second seed -17/2 is not an integer for q = 49: "
+                           "theta source 'paper' is inconsistent with this field",
+            }
+        assert [memo.cache_info() for memo in memos] == warm
 
 
 class _ClosedPipe(io.StringIO):

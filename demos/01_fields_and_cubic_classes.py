@@ -7,7 +7,8 @@ ordered as base-p integers).  The cubic class of a nonzero z is the residue
 of its discrete log base g modulo 3, computed without a discrete log.
 """
 
-from diagcubic import CubicClass, cube_histogram, make_field
+from diagcubic import CubicClass, make_field
+from diagcubic.oracle import cube_histogram
 
 print("== prime field F_31 ==")
 f31 = make_field(31)

@@ -8,7 +8,8 @@ M = G^3/q (the normalized cubed Gauss sum): writing M = A + B*w,
 c = 2A - B, d = |B|/3, theta = sgn(B).
 """
 
-from diagcubic import cubic_data, jacobi_sum_cubic, make_field, r_pair
+from diagcubic import cubic_data, make_field
+from diagcubic.eisenstein import jacobi_sum_cubic, r_pair
 
 print("constants across the supported fields:")
 print(f"{'q':>4} {'p':>3} {'k':>2} {'c':>4} {'d':>2} {'r1':>4} {'r2':>3} {'theta':>5} {'parity rule':>11}  M = G^3/q")

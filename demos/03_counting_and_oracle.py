@@ -10,10 +10,10 @@ from diagcubic import (
     CubicClass,
     count_diagonal,
     cubic_data,
-    diagonal_count_vector,
     diagonal_series,
     make_field,
 )
+from diagcubic.oracle import diagonal_count_vector
 
 TARGETS = (CubicClass.ZERO, CubicClass.C0, CubicClass.C1, CubicClass.C2)
 

@@ -9,17 +9,16 @@ long-open case of 2 cubic (p = 31 is the first such prime).
 
 from diagcubic import (
     CubicClass,
-    brute_twisted,
     count_diagonal,
     count_twisted,
     cubic_data,
-    delta,
     make_field,
-    signed_d_mod4,
-    twisted3_closed,
     twisted_series,
 )
+from diagcubic.constants import delta
 from diagcubic.ntheory import primes_up_to
+from diagcubic.oracle import brute_twisted
+from diagcubic.verify import signed_d_mod4, twisted3_closed
 
 print("== the worked case: F_31, where 2 is a cube ==")
 f31 = make_field(31)

@@ -8,16 +8,15 @@ ample at desk scale, and every identity is checked far below its signal size.
 
 import math
 
-from diagcubic import (
-    cubic_data,
+from diagcubic import cubic_data, make_field
+from diagcubic.eisenstein import jacobi_sum_cubic
+from diagcubic.oracle import (
+    conjugate_gauss_sum_numeric,
     cubic_exp_sum_numeric,
     gauss_sum_numeric,
-    jacobi_sum_cubic,
     jacobi_sum_numeric,
-    make_field,
     orthogonality_check,
 )
-from diagcubic.oracle import conjugate_gauss_sum_numeric
 
 for p, k in ((7, 1), (31, 1), (7, 2), (2, 6)):
     field = make_field(p, k)

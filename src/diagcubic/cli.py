@@ -111,8 +111,8 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
 
 
 def _resolve_field(args) -> FieldDescriptor:
-    modulus = _parse_coeffs(args.modulus) if args.modulus else None
-    generator = _parse_coeffs(args.generator) if args.generator else None
+    modulus = _parse_coeffs(args.modulus) if args.modulus is not None else None
+    generator = _parse_coeffs(args.generator) if args.generator is not None else None
     return make_field(args.p, args.k, modulus, generator)
 
 

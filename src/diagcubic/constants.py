@@ -26,10 +26,11 @@ fixed by the congruence of Gauss's cubic theorem
 (:func:`~diagcubic.eisenstein.jacobi_sum_cubic`): J gives M, M gives (c, d)
 and theta, and J gives the r-pair.  For p = 2 (mod 3) it is Stickelberger's
 M.  ``cubic_data`` checks on every call that (c, d) meets the conditions
-above and is tied to M.  The witnesses run only in ``verify`` and the
-tests: the Diophantine search :func:`cd_search` (O(sqrt q) steps, refused
-above q of about 6.75 * 10^12), whose (c, d) must equal the pair read off
-M, and the direct O(p) Jacobi sum.
+above and is tied to M.  The witnesses live in :mod:`diagcubic.verify`,
+next to the checks that run them: the Diophantine search
+:func:`~diagcubic.verify.cd_search` (O(sqrt q) steps, refused above q of
+about 6.75 * 10^12), whose (c, d) must equal the pair read off M, and the
+direct O(p) Jacobi sum.
 
 A second prediction of theta ("theta_paper", the published parity rule) is
 computed independently: 0 for even k, and the sign of Im((r1+3*sqrt(3)*r2*i)^k)
@@ -41,17 +42,14 @@ the default everywhere.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .eisenstein import EisensteinInt, jacobi_sum_cubic, r_pair
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, IntegrityError
 from .fields import CubicClass, FieldDescriptor
 
 THETA_SOURCES = ("exact", "paper")
-
-#: Largest number of d values cd_search tries: q up to about 6.75 * 10^12.
-_MAX_CD_SEARCH_LOOPS = 10**6
 
 
 class CubicData(NamedTuple):
@@ -72,45 +70,6 @@ class CubicData(NamedTuple):
         if source not in THETA_SOURCES:
             raise DomainError(f"unknown theta source {source!r}, expected one of {THETA_SOURCES}")
         return self.theta if source == "exact" else self.theta_paper
-
-
-def cd_search(q: int, p: int) -> tuple[int, int]:
-    """The unique (c, d) with 4q = c^2 + 27 d^2, c = 1 (mod 3), d >= 0,
-    and gcd(c, p) = 1 when p = 1 (mod 3).
-
-    Enumerates d and tests 4q - 27 d^2 for squareness with exact integer
-    square roots; zero or multiple survivors contradict the uniqueness the
-    closed forms rely on and abort loudly.  A q needing more than
-    ``_MAX_CD_SEARCH_LOOPS`` values of d is refused with a ResourceError
-    before the loop.
-    """
-    if q % 3 != 1:
-        raise DomainError(f"q = {q} = {q % 3} (mod 3) has no (c, d) representation")
-    loops = isqrt(4 * q // 27) + 1
-    if loops > _MAX_CD_SEARCH_LOOPS:
-        raise ResourceError(
-            f"the (c, d) search for q = {q} needs {loops} steps, above the cap of {_MAX_CD_SEARCH_LOOPS}"
-        )
-    survivors = []
-    d = 0
-    while 27 * d * d <= 4 * q:
-        rem = 4 * q - 27 * d * d
-        s = isqrt(rem)
-        if s * s == rem:
-            for c in (s, -s) if s else (0,):
-                if c % 3 == 1 and (p % 3 != 1 or gcd(c, p) == 1):
-                    survivors.append((c, d))
-        d += 1
-    if len(survivors) != 1:
-        raise IntegrityError(f"(c, d) for q = {q} not unique: {sorted(survivors)}")
-    return survivors[0]
-
-
-def theta_exact(field: FieldDescriptor) -> tuple[int, EisensteinInt]:
-    """theta and M = G^3/q from exact Eisenstein arithmetic: a view of
-    :func:`cubic_data`, which computes both once and checks their invariants."""
-    data = cubic_data(field)
-    return data.theta, data.gauss_cubed_over_q
 
 
 def theta_sign_rule(k: int, r1: int, r2: int) -> int:
@@ -153,8 +112,8 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
       Gauss sum gives M = (-1)^(m-1) * p^m, so c = 2M, d = 0 and theta = 0;
       F_p has no cubic character, hence no r-pair.
 
-    The Diophantine search :func:`cd_search` is not run here: it is the
-    witness for (c, d) in ``verify`` and the tests.
+    The Diophantine search :func:`~diagcubic.verify.cd_search` is not run
+    here: it is the witness for (c, d) in ``verify`` and the tests.
     """
     q, p, k = field.q, field.p, field.k
     if q % 3 != 1:
@@ -185,8 +144,9 @@ def _check_invariants(data: CubicData) -> None:
     """The conditions that pin (c, d) and tie it to M, checked on every call.
 
     4q = c^2 + 27 d^2, c = 1 (mod 3), d >= 0 and, for p = 1 (mod 3),
-    gcd(c, p) = 1 single out the pair (the contract of :func:`cd_search`);
-    M + conj(M) = c, |B| = 3d, sgn(B) = theta and |M|^2 = q tie it to M.
+    gcd(c, p) = 1 single out the pair (the contract of the witness
+    :func:`~diagcubic.verify.cd_search`); M + conj(M) = c, |B| = 3d,
+    sgn(B) = theta and |M|^2 = q tie it to M.
     Given c = 2A - B and |B| = 3d, |M|^2 = q is exactly 4q = c^2 + 27 d^2.
     """
     c, d, m, p, q = data.c, data.d, data.gauss_cubed_over_q, data.p, data.q

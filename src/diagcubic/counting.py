@@ -48,6 +48,9 @@ it is in characteristic 3, where cubing is the Frobenius automorphism; see
 Class labels C1/C2 are relative to the field's chosen generator (swapping g
 for a generator of the other coset swaps them, and flips theta with them), so
 counts keyed to a concrete element z are generator-independent.
+
+The witnesses for these counts (the closed-form T_3 and the mod-4 sign rule)
+live in :mod:`diagcubic.verify`, next to the checks that run them.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .constants import CubicData, cubic_data, delta
+from .constants import CubicData, delta
 from .errors import DomainError, IntegrityError
-from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor
+from .fields import NONCUBIC_CLASSES, CubicClass
 
 
 class SeriesWindow(NamedTuple):
@@ -232,16 +235,6 @@ def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str 
     return _count(data, s, s - 2, _twisted_seeds(data, y_cls, theta_source), y_cls)
 
 
-def twisted3_closed(data: CubicData, y_cls: CubicClass, theta_source: str = "exact") -> int:
-    """T_3 in closed form: q^2 + (q-1) * (-c - 9 * delta_y * d) / 2, exact."""
-    if y_cls not in NONCUBIC_CLASSES:
-        raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
-    numerator = (data.q - 1) * (-data.c - 9 * delta(data, y_cls, theta_source) * data.d)
-    if numerator % 2 != 0:
-        raise IntegrityError(f"half-integer T_3 for q = {data.q} under theta source {theta_source!r}")
-    return data.q * data.q + numerator // 2
-
-
 def diagonal_series(data: CubicData, target: CubicClass, n: int, theta_source: str = "exact") -> SeriesWindow:
     """First n coefficients N_1..N_n of the counting series for one target,
     generated by the integer recurrence (never by power-series division)."""
@@ -259,46 +252,3 @@ def twisted_series(data: CubicData, y_cls: CubicClass, n: int, theta_source: str
     if n < 1:
         raise DomainError("need at least one coefficient")
     return _window(_twisted_seeds(data, y_cls, theta_source), data.q, data.c, data.q, n)
-
-
-def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
-    """Signed d for the three-variable twisted count over a prime field where
-    2 is non-cubic, selected by the mod-4 rule:
-
-        d~ = c (mod 4)   if y and 2 share a cubic class,
-        d~ != c (mod 4)  if y and 4 share a cubic class,
-
-    so that T_3(y) = p^2 + (p-1) * (-c + 9 * d~) / 2.  Here c and d are both
-    odd, hence exactly one of +d, -d satisfies each branch.  (c, d) is read
-    from :func:`cubic_data`, which over F_p is (r1, |r2|) of the Jacobi sum.
-    """
-    if field.k != 1:
-        raise DomainError("the mod-4 rule is stated over prime fields")
-    p = field.p
-    if p % 3 != 1:
-        raise DomainError(f"p = {p} = {p % 3} (mod 3): no non-cubic elements")
-    if y_cls not in NONCUBIC_CLASSES:
-        raise DomainError(f"y must be non-cubic, got {y_cls}")
-    two = field.element([2])
-    cls_two = field.cube_class(two)
-    if cls_two is CubicClass.C0:
-        raise DomainError(f"2 is cubic over F_{p}: the mod-4 rule does not apply")
-    cls_four = field.cube_class(two * two)
-    data = cubic_data(field)
-    c, d = data.c, data.d
-    if d % 2 == 0:
-        raise IntegrityError(
-            f"cubic_data gives even d = {d} over F_{p}, but cube_class puts 2 in {cls_two}, "
-            f"not c0: d is even exactly when 2 is a cube"
-        )
-    if y_cls is cls_two:
-        wanted = c % 4
-    elif y_cls is cls_four:
-        wanted = (c + 2) % 4
-    else:
-        raise IntegrityError("non-cubic classes must be exactly those of 2 and 4")
-    if d % 4 == wanted:
-        return d
-    if (-d) % 4 == wanted:
-        return -d
-    raise IntegrityError(f"neither {d} nor {-d} is {wanted} (mod 4)")

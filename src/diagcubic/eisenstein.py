@@ -18,13 +18,9 @@ r1 = 1 (mod 3), and the sign of r2 pinned by the congruence
 Production route (:func:`jacobi_sum_cubic`, O(log p)): the modified
 Cornacchia algorithm solves 4p = L^2 + 27*M^2, r1 = +-L is fixed by
 r1 = 1 (mod 3) and r2 = +-M by the congruence (Gauss's cubic theorem), and
-J = (r1 + 3*r2)/2 + 3*r2*w.  Witness (:func:`jacobi_sum_direct`, O(p) time
-and memory, p <= 10^7): the sum above over a table of discrete logs mod 3.
-Its only Python-level loop walks half the cubes, about (p - 1)/6 steps of one
-product each; the reflection x -> p - x, the class of the least non-cube k
-(k strided slice copies) and the tally are bytes and int operations over
-tables of p bytes, a few such tables alive at once.  ``verify`` and the tests
-require both routes to agree.
+J = (r1 + 3*r2)/2 + 3*r2*w.  Its witness, the direct O(p) sum above
+(:func:`~diagcubic.verify.jacobi_sum_direct`, p <= 10^7), lives in
+``verify``, which with the tests requires both routes to agree.
 """
 
 from __future__ import annotations
@@ -32,13 +28,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, IntegrityError
 from .ntheory import cornacchia4, is_prime, prime_factors
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
-
-#: Largest p for the direct Jacobi sum, whose discrete-log table has p entries.
-_MAX_JACOBI_P = 10**7
 
 
 class EisensteinInt(NamedTuple):
@@ -154,80 +147,6 @@ def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
     j_sum = EisensteinInt((r1 + 3 * r2) // 2, 3 * r2)
     if j_sum.norm() != p:
         raise IntegrityError(f"Jacobi sum {j_sum} over F_{p} has norm {j_sum.norm()}, expected {p}")
-    return j_sum
-
-
-def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
-    """Cubic Jacobi sum over F_p by direct O(p) summation, with chi(gen) = w:
-    the witness for :func:`jacobi_sum_cubic`, used by ``verify`` and the tests.
-
-    Builds the table ind(x) mod 3 of discrete logs of gen, then sums
-    chi(x) * chi(1 - x) over x in F_p minus {0, 1}.  The one Python-level loop
-    marks half the cubes gen^(3j), about (p - 1)/6 products; -1 is a cube
-    (p = 1 mod 6), so the reflection x -> p - x gives the rest.  The class of
-    the least non-cube k, read off Euler's criterion, is k times the cubes:
-    k strided slice copies.  A few tables of p bytes are alive at once.  The
-    result is checked to have norm p and w-coefficient divisible by 3 before
-    it is returned.
-    p above ``_MAX_JACOBI_P`` is refused with a ResourceError before any work.
-    """
-    if p > _MAX_JACOBI_P:
-        raise ResourceError(
-            f"the direct cubic Jacobi sum over F_{p} needs a table of {p} entries, "
-            f"above the cap of p <= {_MAX_JACOBI_P}"
-        )
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if p % 3 != 1:
-        raise DomainError(f"no cubic character mod {p}: p = {p % 3} (mod 3)")
-    _verify_generator_mod_p(gen, p)
-
-    # cube[x] = 1 iff x is a nonzero cube: gen^(3j) for j < n/2, n = (p - 1)/3,
-    # then their negatives gen^(3j + 3n/2), OR-ed in as the reversed table
-    n = (p - 1) // 3
-    cube = bytearray(p)
-    gen3 = pow(gen, 3, p)
-    x = 1
-    for _ in range(n // 2):
-        cube[x] = 1
-        x = x * gen3 % p
-    cube[1:] = (
-        int.from_bytes(cube[1:], "little") | int.from_bytes(cube[:0:-1], "little")
-    ).to_bytes(p - 1, "little")
-
-    # moved[k*x mod p] = cube[x] marks class e of the least non-cube k: for
-    # each j < k, the x in [ceil(j*p/k), ceil((j+1)*p/k)) go to the stride-k
-    # run k*x - j*p
-    k = cube.index(0, 1)
-    e = 1 if pow(k, n, p) == pow(gen, n, p) else 2
-    moved = bytearray(p)
-    for j in range(k):
-        lo, hi = -(-j * p // k), -(-(j + 1) * p // k)
-        moved[k * lo - j * p::k] = cube[lo:hi]
-    # cube + 2*moved is 1 on cubes, 2 on class e and 0 on the third class
-    total = int.from_bytes(cube, "little") + 2 * int.from_bytes(moved, "little")
-    del cube, moved  # free each table once used: at p near the cap each is about 10 MB
-    index = total.to_bytes(p, "little").translate(bytes.maketrans(b"\0\1\2", bytes((3 - e, 0, e))))
-    del total
-
-    # chi(x) * chi(1-x) = w^(ind(x) + ind(1-x)); tally the three powers of w.
-    # For x = 2 .. p-1, 1 - x = p + 1 - x runs over the same range backwards, so
-    # the indices of 1 - x are head reversed.  Adding the two byte strings as
-    # integers adds them bytewise, since no byte sum exceeds 4.
-    head = index[2:]
-    del index
-    total = int.from_bytes(head, "little") + int.from_bytes(head[::-1], "little")
-    sums = total.to_bytes(p - 2, "little")
-    n1 = sums.count(1) + sums.count(4)
-    n2 = sums.count(2)
-    n0 = (p - 2) - n1 - n2
-    # n0 + n1*w + n2*w^2 with w^2 = -1 - w
-    j_sum = EisensteinInt(n0 - n2, n1 - n2)
-
-    if j_sum.norm() != p:
-        raise IntegrityError(f"Jacobi sum over F_{p} has norm {j_sum.norm()}, expected {p}")
-    if j_sum.b % 3 != 0:
-        raise IntegrityError(f"Jacobi sum over F_{p} has w-coefficient {j_sum.b} not divisible by 3")
     return j_sum
 
 

@@ -287,6 +287,8 @@ class FieldDescriptor:
 
         if generator is None:
             g = find_generator(self)
+        elif any(not (0 <= c < p) for c in generator):
+            raise DomainError(f"generator coefficients must lie in [0, {p})")
         else:
             g = self.element(generator)
             if not self._has_full_order(g):

@@ -20,6 +20,12 @@ Groups of checks, mirroring how the library is meant to be trusted:
 * bijective-cube sanity: q != 1 (mod 3) fields, characteristic 3 among them,
   count q^(s-1) everywhere.
 
+The witnesses that only these checks run live here, each next to its check,
+so the modules a count loads hold one route per quantity:
+:func:`twisted3_closed` (worked example, mod-4 rule), :func:`cd_search` and
+:func:`jacobi_sum_direct` (constants integrity), and :func:`signed_d_mod4`,
+the Chowla-Cowles-Cowles mod-4 rule.
+
 `full_report` returns a JSON-serializable report; any check with status
 "fail" marks the suite failed, "warn" entries are informational.
 """
@@ -27,13 +33,15 @@ Groups of checks, mirroring how the library is meant to be trusted:
 from __future__ import annotations
 
 import math
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import counting, oracle
-from .constants import cd_search, cubic_data, delta
-from .eisenstein import jacobi_sum_cubic, jacobi_sum_direct, r_pair
+from .constants import CubicData, cubic_data, delta
+from .eisenstein import EisensteinInt, _verify_generator_mod_p, jacobi_sum_cubic, r_pair
+from .errors import DomainError, IntegrityError, ResourceError
 from .fields import NONCUBIC_CLASSES, NONZERO_CLASSES, CubicClass, FieldDescriptor, make_field
-from .ntheory import prime_factors, primes_up_to
+from .ntheory import is_prime, prime_factors, primes_up_to
 
 #: q -> (p, k) for every field the closed forms are validated on.
 SUPPORTED_FIELDS = {
@@ -88,6 +96,16 @@ def supported_field(q: int) -> FieldDescriptor:
 # worked example
 
 
+def twisted3_closed(data: CubicData, y_cls: CubicClass, theta_source: str = "exact") -> int:
+    """T_3 in closed form: q^2 + (q-1) * (-c - 9 * delta_y * d) / 2, exact."""
+    if y_cls not in NONCUBIC_CLASSES:
+        raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
+    numerator = (data.q - 1) * (-data.c - 9 * delta(data, y_cls, theta_source) * data.d)
+    if numerator % 2 != 0:
+        raise IntegrityError(f"half-integer T_3 for q = {data.q} under theta source {theta_source!r}")
+    return data.q * data.q + numerator // 2
+
+
 def check_example_reproduction(theta_source: str = "exact") -> list[Check]:
     """F_31 with g = 3: constants, sign factors, and both T_3 values, each
     matched exactly by the closed form and by brute force.  The theta source
@@ -105,7 +123,7 @@ def check_example_reproduction(theta_source: str = "exact") -> list[Check]:
 
     g = f31.g
     for key, y, cls in (("t3_g", g, CubicClass.C1), ("t3_g2", g * g, CubicClass.C2)):
-        closed = counting.twisted3_closed(data, cls, theta_source)
+        closed = twisted3_closed(data, cls, theta_source)
         recursed = counting.count_twisted(data, 3, cls, theta_source)
         brute = oracle.brute_twisted(f31, 3, y)
         ok = closed == recursed == brute == expected[key]
@@ -184,6 +202,120 @@ def check_oracle_equivalence() -> list[Check]:
 
 # ---------------------------------------------------------------------------
 # constants integrity
+
+
+#: Largest number of d values cd_search tries: q up to about 6.75 * 10^12.
+_MAX_CD_SEARCH_LOOPS = 10**6
+
+
+def cd_search(q: int, p: int) -> tuple[int, int]:
+    """The unique (c, d) with 4q = c^2 + 27 d^2, c = 1 (mod 3), d >= 0,
+    and gcd(c, p) = 1 when p = 1 (mod 3).
+
+    Enumerates d and tests 4q - 27 d^2 for squareness with exact integer
+    square roots; zero or multiple survivors contradict the uniqueness the
+    closed forms rely on and abort loudly.  A q needing more than
+    ``_MAX_CD_SEARCH_LOOPS`` values of d is refused with a ResourceError
+    before the loop.
+    """
+    if q % 3 != 1:
+        raise DomainError(f"q = {q} = {q % 3} (mod 3) has no (c, d) representation")
+    loops = isqrt(4 * q // 27) + 1
+    if loops > _MAX_CD_SEARCH_LOOPS:
+        raise ResourceError(
+            f"the (c, d) search for q = {q} needs {loops} steps, above the cap of {_MAX_CD_SEARCH_LOOPS}"
+        )
+    survivors = []
+    d = 0
+    while 27 * d * d <= 4 * q:
+        rem = 4 * q - 27 * d * d
+        s = isqrt(rem)
+        if s * s == rem:
+            for c in (s, -s) if s else (0,):
+                if c % 3 == 1 and (p % 3 != 1 or gcd(c, p) == 1):
+                    survivors.append((c, d))
+        d += 1
+    if len(survivors) != 1:
+        raise IntegrityError(f"(c, d) for q = {q} not unique: {sorted(survivors)}")
+    return survivors[0]
+
+
+#: Largest p for the direct Jacobi sum, whose discrete-log table has p entries.
+_MAX_JACOBI_P = 10**7
+
+
+def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
+    """Cubic Jacobi sum over F_p by direct O(p) summation, with chi(gen) = w:
+    the witness for :func:`jacobi_sum_cubic`, used by ``verify`` and the tests.
+
+    Builds the table ind(x) mod 3 of discrete logs of gen, then sums
+    chi(x) * chi(1 - x) over x in F_p minus {0, 1}.  The one Python-level loop
+    marks half the cubes gen^(3j), about (p - 1)/6 products; -1 is a cube
+    (p = 1 mod 6), so the reflection x -> p - x gives the rest.  The class of
+    the least non-cube k, read off Euler's criterion, is k times the cubes:
+    k strided slice copies.  A few tables of p bytes are alive at once.  The
+    result is checked to have norm p and w-coefficient divisible by 3 before
+    it is returned.
+    p above ``_MAX_JACOBI_P`` is refused with a ResourceError before any work.
+    """
+    if p > _MAX_JACOBI_P:
+        raise ResourceError(
+            f"the direct cubic Jacobi sum over F_{p} needs a table of {p} entries, "
+            f"above the cap of p <= {_MAX_JACOBI_P}"
+        )
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if p % 3 != 1:
+        raise DomainError(f"no cubic character mod {p}: p = {p % 3} (mod 3)")
+    _verify_generator_mod_p(gen, p)
+
+    # cube[x] = 1 iff x is a nonzero cube: gen^(3j) for j < n/2, n = (p - 1)/3,
+    # then their negatives gen^(3j + 3n/2), OR-ed in as the reversed table
+    n = (p - 1) // 3
+    cube = bytearray(p)
+    gen3 = pow(gen, 3, p)
+    x = 1
+    for _ in range(n // 2):
+        cube[x] = 1
+        x = x * gen3 % p
+    cube[1:] = (
+        int.from_bytes(cube[1:], "little") | int.from_bytes(cube[:0:-1], "little")
+    ).to_bytes(p - 1, "little")
+
+    # moved[k*x mod p] = cube[x] marks class e of the least non-cube k: for
+    # each j < k, the x in [ceil(j*p/k), ceil((j+1)*p/k)) go to the stride-k
+    # run k*x - j*p
+    k = cube.index(0, 1)
+    e = 1 if pow(k, n, p) == pow(gen, n, p) else 2
+    moved = bytearray(p)
+    for j in range(k):
+        lo, hi = -(-j * p // k), -(-(j + 1) * p // k)
+        moved[k * lo - j * p::k] = cube[lo:hi]
+    # cube + 2*moved is 1 on cubes, 2 on class e and 0 on the third class
+    total = int.from_bytes(cube, "little") + 2 * int.from_bytes(moved, "little")
+    del cube, moved  # free each table once used: at p near the cap each is about 10 MB
+    index = total.to_bytes(p, "little").translate(bytes.maketrans(b"\0\1\2", bytes((3 - e, 0, e))))
+    del total
+
+    # chi(x) * chi(1-x) = w^(ind(x) + ind(1-x)); tally the three powers of w.
+    # For x = 2 .. p-1, 1 - x = p + 1 - x runs over the same range backwards, so
+    # the indices of 1 - x are head reversed.  Adding the two byte strings as
+    # integers adds them bytewise, since no byte sum exceeds 4.
+    head = index[2:]
+    del index
+    total = int.from_bytes(head, "little") + int.from_bytes(head[::-1], "little")
+    sums = total.to_bytes(p - 2, "little")
+    n1 = sums.count(1) + sums.count(4)
+    n2 = sums.count(2)
+    n0 = (p - 2) - n1 - n2
+    # n0 + n1*w + n2*w^2 with w^2 = -1 - w
+    j_sum = EisensteinInt(n0 - n2, n1 - n2)
+
+    if j_sum.norm() != p:
+        raise IntegrityError(f"Jacobi sum over F_{p} has norm {j_sum.norm()}, expected {p}")
+    if j_sum.b % 3 != 0:
+        raise IntegrityError(f"Jacobi sum over F_{p} has w-coefficient {j_sum.b} not divisible by 3")
+    return j_sum
 
 
 def _least_primitive_root(p: int) -> int:
@@ -308,6 +440,49 @@ def check_numeric_identities() -> list[Check]:
 # mod-4 sign rule
 
 
+def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
+    """Signed d for the three-variable twisted count over a prime field where
+    2 is non-cubic, selected by the mod-4 rule:
+
+        d~ = c (mod 4)   if y and 2 share a cubic class,
+        d~ != c (mod 4)  if y and 4 share a cubic class,
+
+    so that T_3(y) = p^2 + (p-1) * (-c + 9 * d~) / 2.  Here c and d are both
+    odd, hence exactly one of +d, -d satisfies each branch.  (c, d) is read
+    from :func:`cubic_data`, which over F_p is (r1, |r2|) of the Jacobi sum.
+    """
+    if field.k != 1:
+        raise DomainError("the mod-4 rule is stated over prime fields")
+    p = field.p
+    if p % 3 != 1:
+        raise DomainError(f"p = {p} = {p % 3} (mod 3): no non-cubic elements")
+    if y_cls not in NONCUBIC_CLASSES:
+        raise DomainError(f"y must be non-cubic, got {y_cls}")
+    two = field.element([2])
+    cls_two = field.cube_class(two)
+    if cls_two is CubicClass.C0:
+        raise DomainError(f"2 is cubic over F_{p}: the mod-4 rule does not apply")
+    cls_four = field.cube_class(two * two)
+    data = cubic_data(field)
+    c, d = data.c, data.d
+    if d % 2 == 0:
+        raise IntegrityError(
+            f"cubic_data gives even d = {d} over F_{p}, but cube_class puts 2 in {cls_two}, "
+            f"not c0: d is even exactly when 2 is a cube"
+        )
+    if y_cls is cls_two:
+        wanted = c % 4
+    elif y_cls is cls_four:
+        wanted = (c + 2) % 4
+    else:
+        raise IntegrityError("non-cubic classes must be exactly those of 2 and 4")
+    if d % 4 == wanted:
+        return d
+    if (-d) % 4 == wanted:
+        return -d
+    raise IntegrityError(f"neither {d} nor {-d} is {wanted} (mod 4)")
+
+
 def check_mod4_sign_rule(prime_bound: int = MOD4_PRIME_BOUND) -> list[Check]:
     """For every prime p = 1 (mod 3), p <= bound, with 2 non-cubic: the mod-4
     signed d equals -delta_y * d for both non-cubic classes, and T_3 computed
@@ -324,11 +499,11 @@ def check_mod4_sign_rule(prime_bound: int = MOD4_PRIME_BOUND) -> list[Check]:
         applicable.append(p)
         data = cubic_data(field)
         for cls in NONCUBIC_CLASSES:
-            signed = counting.signed_d_mod4(field, cls)
+            signed = signed_d_mod4(field, cls)
             if signed != -delta(data, cls) * data.d:
                 failures.append((p, str(cls), "sign", signed, -delta(data, cls) * data.d))
             t3_mod4 = p * p + (p - 1) * (-data.c + 9 * signed) // 2
-            t3_closed = counting.twisted3_closed(data, cls)
+            t3_closed = twisted3_closed(data, cls)
             t3_brute = oracle.brute_twisted(field, 3, field.representative(cls), max_q=prime_bound + 1)
             if not (t3_mod4 == t3_closed == t3_brute):
                 failures.append((p, str(cls), "t3", t3_mod4, t3_closed, t3_brute))

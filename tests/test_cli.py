@@ -117,7 +117,7 @@ class TestCountCommand:
         payload = json.loads(out)
         assert payload["result"]["value"] == 19
         # the echoed query round-trips into a field descriptor
-        from diagcubic import parse_field
+        from diagcubic.fields import parse_field
 
         assert parse_field(payload["query"]["field"]).q == 7
 
@@ -203,6 +203,21 @@ class TestValidationErrors:
     def test_bad_element(self, capsys):
         code, _ = run_cli(capsys, "count", "--p", "7", "--s", "1", "--z", "1,2")
         assert code == 2
+
+    @pytest.mark.parametrize("field, generator", [
+        (("--p", "7"), "10"), (("--p", "7", "--k", "2"), "10,8"),
+    ], ids=["F_7", "F_49"])
+    def test_generator_out_of_range(self, capsys, field, generator):
+        # 10 = 3 (mod 7) generates F_7, but coefficients are not reduced
+        code, out = run_cli(capsys, "constants", *field, f"--generator={generator}")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "generator coefficients must lie in [0, 7)"
+
+    @pytest.mark.parametrize("option", ["--modulus", "--generator"])
+    def test_empty_coefficient_list(self, capsys, option):
+        code, out = run_cli(capsys, "constants", "--p", "7", "--k", "2", option, "")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "validation", "message": "bad coefficient list ''"}
 
 
 class TestVerifyCommands:
@@ -421,8 +436,8 @@ _FUZZ_OPTIONS = {
     "--n-terms": ("-1", "0", "1", "2", "7"),
     "--z": ("zero", "c0", "c1", "c2", "0", "1", "3", "0,1", "1,2", "1,2,3,4", "x", ""),
     "--y": ("zero", "c0", "c1", "c2", "1", "3", "0,1", "x"),
-    "--modulus": ("1,0,1", "1,1,1", "3,0,1", "1", "x"),
-    "--generator": ("3", "3,1", "0,1", "0", "x"),
+    "--modulus": ("1,0,1", "1,1,1", "3,0,1", "1", "x", ""),
+    "--generator": ("3", "3,1", "0,1", "0", "x", "10", "9,0", ""),
     "--theta-source": ("exact", "paper", "bogus"),
     "--format": ("json", "tsv"),
 }

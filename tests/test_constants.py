@@ -8,16 +8,14 @@ from diagcubic import (
     EisensteinInt,
     IntegrityError,
     ResourceError,
-    cd_search,
     count_diagonal,
     cubic_data,
-    delta,
     make_field,
-    theta_exact,
-    theta_sign_rule,
 )
 from diagcubic import constants as constants_module
-from diagcubic.verify import SUPPORTED_FIELDS
+from diagcubic import verify as verify_module
+from diagcubic.constants import delta, theta_sign_rule
+from diagcubic.verify import SUPPORTED_FIELDS, cd_search
 
 # independently enumerated representations 4q = c^2 + 27 d^2 (see cd_search
 # contract for the side conditions pinning the signs)
@@ -42,17 +40,23 @@ class TestCdSearch:
             cd_search(5, 5)
 
 
+def _theta_and_m(field):
+    """theta and M = G^3/q, as cubic_data computes them."""
+    data = cubic_data(field)
+    return data.theta, data.gauss_cubed_over_q
+
+
 class TestThetaExact:
     def test_prime_fields(self, f31, f7):
-        theta, m = theta_exact(f31)
+        theta, m = _theta_and_m(f31)
         assert (theta, m) == (1, EisensteinInt(5, 6))
-        theta, m = theta_exact(f7)
+        theta, m = _theta_and_m(f7)
         assert (theta, m) == (-1, EisensteinInt(-1, -3))
 
     def test_even_degree_canonical_generator(self, f49):
         # canonical g = 2 + t has norm 5, giving J = 2 + 3w and theta = -1
         assert f49.g.norm() == 5
-        theta, m = theta_exact(f49)
+        theta, m = _theta_and_m(f49)
         assert (theta, m) == (-1, EisensteinInt(5, -3))
         assert m.real_doubled() == 13 and abs(m.b) == 3
 
@@ -60,11 +64,11 @@ class TestThetaExact:
         # a generator with norm 3 flips the character, hence theta and C1/C2
         field = make_field(7, 2, generator=(3, 1))
         assert field.g.norm() == 3
-        theta, m = theta_exact(field)
+        theta, m = _theta_and_m(field)
         assert (theta, m) == (1, EisensteinInt(8, 3))
 
     def test_no_prime_cubic_character(self, f4):
-        theta, m = theta_exact(f4)
+        theta, m = _theta_and_m(f4)
         assert theta == 0
         assert m == EisensteinInt(2, 0)  # c/2 with c = 4
         assert m.norm() == 4
@@ -186,7 +190,7 @@ class TestOneComputationPerCall:
     @pytest.mark.parametrize("p, k", [(31, 1), (7, 2), (13, 4), (2, 2), (2, 6)])
     def test_cubic_data_computes_each_route_once(self, monkeypatch, p, k):
         field = make_field(p, k)
-        calls = {"cd_search": 0, "jacobi_sum_cubic": 0}
+        calls = {"jacobi_sum_cubic": 0}
 
         def counted(name):
             original = getattr(constants_module, name)
@@ -197,11 +201,11 @@ class TestOneComputationPerCall:
 
             monkeypatch.setattr(constants_module, name, wrapper)
 
-        counted("cd_search")
         counted("jacobi_sum_cubic")
         cubic_data(field)
+        assert calls == {"jacobi_sum_cubic": 1 if p % 3 == 1 else 0}
         # the (c, d) search is a witness only: verify and the tests run it
-        assert calls == {"cd_search": 0, "jacobi_sum_cubic": 1 if p % 3 == 1 else 0}
+        assert not hasattr(constants_module, "cd_search")
 
 
 class TestGeneratorCoset:
@@ -225,9 +229,9 @@ class TestGeneratorCoset:
 class TestCdSearchCap:
     def test_boundary(self, monkeypatch):
         # q = 31 takes d = 0, 1, 2: isqrt(4 * 31 // 27) + 1 = 3 steps
-        monkeypatch.setattr(constants_module, "_MAX_CD_SEARCH_LOOPS", 3)
+        monkeypatch.setattr(verify_module, "_MAX_CD_SEARCH_LOOPS", 3)
         assert cd_search(31, 31) == (4, 2)
-        monkeypatch.setattr(constants_module, "_MAX_CD_SEARCH_LOOPS", 2)
+        monkeypatch.setattr(verify_module, "_MAX_CD_SEARCH_LOOPS", 2)
         with pytest.raises(ResourceError):
             cd_search(31, 31)
 

@@ -8,18 +8,16 @@ from diagcubic import (
     count_diagonal,
     count_twisted,
     cubic_data,
-    delta,
     diagonal_series,
-    excess_at,
-    excess_seeds,
     make_field,
-    signed_d_mod4,
-    twisted3_closed,
     twisted_series,
 )
 from diagcubic import counting as counting_module
+from diagcubic import verify as verify_module
+from diagcubic.constants import delta
+from diagcubic.counting import excess_at, excess_seeds
 from diagcubic.oracle import brute_diagonal
-from diagcubic.verify import SUPPORTED_FIELDS
+from diagcubic.verify import SUPPORTED_FIELDS, signed_d_mod4, twisted3_closed
 
 C0, C1, C2, ZERO = CubicClass.C0, CubicClass.C1, CubicClass.C2, CubicClass.ZERO
 
@@ -261,7 +259,7 @@ class TestCharacteristicThree:
 
 class TestSignedDMod4Message:
     def test_even_d_names_both_routes(self, monkeypatch, f7):
-        real = counting_module.cubic_data
-        monkeypatch.setattr(counting_module, "cubic_data", lambda field: real(field)._replace(d=2))
+        real = verify_module.cubic_data
+        monkeypatch.setattr(verify_module, "cubic_data", lambda field: real(field)._replace(d=2))
         with pytest.raises(IntegrityError, match=r"cubic_data gives even d = 2 over F_7, but cube_class puts 2 in c[12]"):
             signed_d_mod4(f7, C1)

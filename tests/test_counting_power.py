@@ -20,14 +20,12 @@ from diagcubic import (
     count_diagonal,
     count_twisted,
     cubic_data,
-    delta,
     diagonal_series,
-    excess_at,
     make_field,
     twisted_series,
 )
-from diagcubic.constants import cd_search
 from diagcubic.cli import _MAX_OUTPUT_DIGITS
+from diagcubic.constants import delta
 from diagcubic.counting import (
     _POWER_MEMO_SIZE,
     _cube_power,
@@ -36,8 +34,10 @@ from diagcubic.counting import (
     _seeds,
     _term_at,
     _twisted_seeds,
+    excess_at,
 )
 from diagcubic.fields import NONCUBIC_CLASSES
+from diagcubic.verify import cd_search
 
 #: q -> its characteristic p, for q = 1 (mod 3); c comes from the (c, d) search.
 #: q = 4, 25 and 64 have p = 2 (mod 3).

@@ -9,12 +9,11 @@ from diagcubic import (
     IntegrityError,
     ResourceError,
     eisenstein,
-    jacobi_sum_cubic,
-    r_pair,
     verify,
 )
-from diagcubic.eisenstein import jacobi_sum_direct
+from diagcubic.eisenstein import jacobi_sum_cubic, r_pair
 from diagcubic.ntheory import primes_up_to
+from diagcubic.verify import jacobi_sum_direct
 
 ints = st.integers(-10 ** 6, 10 ** 6)
 eis = st.builds(EisensteinInt, ints, ints)

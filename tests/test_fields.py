@@ -10,15 +10,12 @@ from diagcubic import (
     DomainError,
     EisensteinInt,
     ResourceError,
-    find_generator,
-    find_irreducible,
     make_field,
-    parse_element,
-    parse_field,
     verify,
 )
 from diagcubic import fields as fields_module
 from diagcubic import polynomials
+from diagcubic.fields import find_generator, find_irreducible, parse_element, parse_field
 from diagcubic.ntheory import prime_factors
 
 
@@ -68,6 +65,12 @@ class TestFindGenerator:
     def test_explicit_generator_is_verified(self):
         with pytest.raises(DomainError):
             make_field(7, generator=[2])  # order 3, not 6
+
+    @pytest.mark.parametrize("p, k, generator", [(7, 1, [10]), (7, 1, [-4]), (7, 2, [10, 8]), (7, 2, [3, 8])])
+    def test_explicit_generator_coefficients_in_range(self, p, k, generator):
+        # each reduces mod 7 to a generator, but is refused as the modulus would be
+        with pytest.raises(DomainError, match=r"generator coefficients must lie in \[0, 7\)"):
+            make_field(p, k, generator=generator)
 
 
 class TestArithmetic:

@@ -4,6 +4,7 @@ Each import check runs in a fresh interpreter, since this test process has
 long since imported the whole package.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -51,29 +52,65 @@ def test_verify_import_skips_dataclasses():
     assert _loaded_after("import diagcubic.verify", ("dataclasses", "inspect")) == []
 
 
-def test_oracle_name_loads_the_oracle_on_first_use():
-    assert _loaded_after("import diagcubic", ("diagcubic.oracle",)) == []
-    assert _loaded_after("from diagcubic import cube_histogram", ("diagcubic.oracle",)) == ["diagcubic.oracle"]
+#: name -> the module it is imported from: the package root for the README's
+#: library API, the defining submodule for every other public name
+PUBLIC_NAMES = {
+    **dict.fromkeys(diagcubic.__all__, "diagcubic"),
+    "CubeHistogram": "diagcubic.oracle",
+    "RPair": "diagcubic.eisenstein",
+    "brute_diagonal": "diagcubic.oracle",
+    "brute_diagonal_naive": "diagcubic.oracle",
+    "brute_twisted": "diagcubic.oracle",
+    "cd_search": "diagcubic.verify",
+    "cube_histogram": "diagcubic.oracle",
+    "cubic_exp_sum_numeric": "diagcubic.oracle",
+    "delta": "diagcubic.constants",
+    "diagonal_count_vector": "diagcubic.oracle",
+    "excess_at": "diagcubic.counting",
+    "excess_seeds": "diagcubic.counting",
+    "find_generator": "diagcubic.fields",
+    "find_irreducible": "diagcubic.fields",
+    "gauss_sum_numeric": "diagcubic.oracle",
+    "jacobi_sum_cubic": "diagcubic.eisenstein",
+    "jacobi_sum_numeric": "diagcubic.oracle",
+    "orthogonality_check": "diagcubic.oracle",
+    "parse_element": "diagcubic.fields",
+    "parse_field": "diagcubic.fields",
+    "r_pair": "diagcubic.eisenstein",
+    "signed_d_mod4": "diagcubic.verify",
+    "theta_sign_rule": "diagcubic.constants",
+    "twisted3_closed": "diagcubic.verify",
+}
+
+#: The witnesses that run only in verify and the tests, and the deleted view
+#: theta_exact: none of them is defined in a module a count loads.
+WITNESS_NAMES = ("cd_search", "jacobi_sum_direct", "twisted3_closed", "signed_d_mod4", "theta_exact")
 
 
-@pytest.mark.parametrize("name", diagcubic.__all__)
+@pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
 def test_every_public_name_resolves(name):
-    assert getattr(diagcubic, name) is not None
-    assert name in dir(diagcubic)
+    module = importlib.import_module(PUBLIC_NAMES[name])
+    assert getattr(module, name) is not None
+    assert name in dir(module)
 
 
-def test_oracle_names_are_the_oracle_objects():
-    from diagcubic import oracle
+def test_root_exports_the_readme_api():
+    readme = (ROOT / "README.md").read_text()
+    assert len(diagcubic.__all__) == 16
+    assert [name for name in diagcubic.__all__ if f"`{name}`" not in readme] == []
+    assert "__getattr__" not in vars(diagcubic) and "__dir__" not in vars(diagcubic)
 
-    assert diagcubic.cube_histogram is oracle.cube_histogram
-    assert diagcubic.CubeHistogram is oracle.CubeHistogram
+
+@pytest.mark.parametrize("module", ["constants", "counting", "eisenstein"])
+def test_witnesses_live_outside_the_count_path(module):
+    namespace = vars(importlib.import_module(f"diagcubic.{module}"))
+    assert [name for name in WITNESS_NAMES if name in namespace] == []
 
 
 def test_star_import():
     namespace = {}
     exec("from diagcubic import *", namespace)
     assert set(diagcubic.__all__) <= set(namespace)
-    assert namespace["brute_twisted"] is diagcubic.brute_twisted
 
 
 def test_unknown_name_raises_attribute_error():

@@ -10,22 +10,24 @@ from diagcubic import (
     DomainError,
     IntegrityError,
     ResourceError,
+    cubic_data,
+    make_field,
+    oracle,
+    verify,
+)
+from diagcubic.eisenstein import jacobi_sum_cubic
+from diagcubic.oracle import (
     brute_diagonal,
     brute_diagonal_naive,
     brute_twisted,
+    conjugate_gauss_sum_numeric,
     cube_histogram,
-    cubic_data,
     cubic_exp_sum_numeric,
     diagonal_count_vector,
     gauss_sum_numeric,
-    jacobi_sum_cubic,
     jacobi_sum_numeric,
-    make_field,
-    oracle,
     orthogonality_check,
-    verify,
 )
-from diagcubic.oracle import conjugate_gauss_sum_numeric
 
 
 class TestCubeHistogram:

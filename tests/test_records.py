@@ -4,18 +4,15 @@ EisensteinInt arithmetic in Z[w] rather than tuple arithmetic."""
 import pytest
 
 from diagcubic import (
-    CubeHistogram,
     CubicClass,
     CubicData,
     EisensteinInt,
     SeriesWindow,
-    cube_histogram,
     cubic_data,
     diagonal_series,
     make_field,
-    orthogonality_check,
 )
-from diagcubic.oracle import OrthogonalityReport
+from diagcubic.oracle import CubeHistogram, OrthogonalityReport, cube_histogram, orthogonality_check
 from diagcubic.verify import Check
 
 

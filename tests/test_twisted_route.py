@@ -56,7 +56,7 @@ def test_twisted_series_equals_two_diagonal_counts(data):
 
 def test_only_the_seeds_and_the_closed_form_read_theta():
     # theta enters the production counts in one expression, excess_seeds;
-    # twisted3_closed is a witness with its own
+    # the closed-form witness twisted3_closed reads it in verify
     tree = ast.parse(Path(counting.__file__).read_text())
     callers = set()
     for top in tree.body:
@@ -66,4 +66,4 @@ def test_only_the_seeds_and_the_closed_form_read_theta():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name == "delta":
                     callers.add(getattr(top, "name", None))
-    assert callers == {"excess_seeds", "twisted3_closed"}
+    assert callers == {"excess_seeds"}

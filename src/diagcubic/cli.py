@@ -17,7 +17,9 @@ or TSV.  Exit codes: 0 success, 1 verification failure, 2 validation or
 resource error (counts longer than the output cap, a series window longer
 than the total cap, a field beyond a size cap of the primality test, the
 factoring of q - 1, the irreducibility test or the (c, d) search), 3
-integrity or internal error; errors are emitted as JSON objects.
+integrity or internal error; errors are emitted as JSON objects.  Counts use
+the exact theta: --theta-source paper, the parity rule's theta, is an integrity
+error for a non-cubic class wherever the two differ (q = p^(2m), p = 1 (mod 3)).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import os
 import sys
 
-from .constants import THETA_SOURCES, CubicData, cubic_data
+from .constants import CubicData, cubic_data
 from .counting import bijective_count, count_diagonal, count_twisted, diagonal_series, twisted_series
 from .errors import DomainError, IntegrityError, ResourceError
 from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor, make_field, parse_element
@@ -61,8 +63,8 @@ def _add_field_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_theta_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--theta-source", choices=THETA_SOURCES, default="exact",
-                     help="which theta feeds the non-cubic counts (default exact)")
+    sub.add_argument("--theta-source", choices=("exact", "paper"), default="exact",
+                     help="exact (default), or paper: refuse non-cubic counts where the parity rule's theta differs")
 
 
 def _add_format_option(sub: argparse.ArgumentParser) -> None:
@@ -156,6 +158,18 @@ def _data_warnings(data: CubicData) -> list[dict]:
     return []
 
 
+def _count_constants(field: FieldDescriptor, cls: CubicClass, theta_source: str) -> tuple[CubicData, list[dict]]:
+    """The constants and their warnings for counts of class cls, refusing the
+    parity rule's theta for a non-cubic class wherever it is not the exact one."""
+    data = cubic_data(field)
+    if theta_source == "paper" and cls in NONCUBIC_CLASSES and data.theta_paper != data.theta:
+        raise IntegrityError(
+            f"the parity rule gives theta = {data.theta_paper}, the exact theta is {data.theta} "
+            f"for q = {data.q}: theta source 'paper' is inconsistent with this field"
+        )
+    return data, _data_warnings(data)
+
+
 def _resolve_target(field: FieldDescriptor, text: str) -> tuple[CubicClass, str, dict]:
     """Class keyword or concrete element -> (class, canonical label, extra result keys)."""
     keyword = text.strip().lower()
@@ -190,24 +204,22 @@ def _run_count(args) -> tuple[dict, int]:
     if (args.z is None) == (args.y is None):
         raise DomainError("give exactly one of --z (plain target) or --y (twisted coefficient)")
     _check_output_digits(field.q, args.s)
-    warnings: list[dict] = []
     if args.y is not None:
         if field.q % 3 != 1:
             raise DomainError(
                 f"every element of F_{field.q} is a cube (q = {field.q % 3} mod 3): no non-cubic coefficient exists"
             )
         cls, label, extra = _resolve_target(field, args.y)
-        data = cubic_data(field)
-        warnings += _data_warnings(data)
-        value = count_twisted(data, args.s, cls, args.theta_source)
+        data, warnings = _count_constants(field, cls, args.theta_source)
+        value = count_twisted(data, args.s, cls)
         result = {"q": field.q, "s": args.s, "target": label, "kind": "twisted", "value": value, **extra}
     else:
         cls, label, extra = _resolve_target(field, args.z)
         if field.q % 3 == 1:
-            data = cubic_data(field)
-            warnings += _data_warnings(data)
-            value = count_diagonal(data, args.s, cls, args.theta_source)
+            data, warnings = _count_constants(field, cls, args.theta_source)
+            value = count_diagonal(data, args.s, cls)
         else:
+            warnings = []
             value = bijective_count(field.q, args.s, cls is CubicClass.ZERO)
         if args.s == 0:
             warnings.append({
@@ -225,16 +237,14 @@ def _run_series(args) -> tuple[dict, int]:
     if field.q % 3 != 1:
         raise DomainError(f"series require q = 1 (mod 3); q = {field.q} counts are q^(s-1) throughout")
     _check_series_digits(field.q, args.n_terms)
-    data = cubic_data(field)
-    warnings = _data_warnings(data)
+    cls, label, extra = _resolve_target(field, args.z if args.y is None else args.y)
+    data, warnings = _count_constants(field, cls, args.theta_source)
     if args.y is not None:
-        cls, label, extra = _resolve_target(field, args.y)
-        coeffs = twisted_series(data, cls, args.n_terms, args.theta_source)
+        coeffs = twisted_series(data, cls, args.n_terms)
         result = {"q": field.q, "target": label, "kind": "twisted", "s_start": 2,
                   "coefficients": list(coeffs), **extra}
     else:
-        cls, label, extra = _resolve_target(field, args.z)
-        window = diagonal_series(data, cls, args.n_terms, args.theta_source)
+        window = diagonal_series(data, cls, args.n_terms)
         result = {"q": field.q, "target": label, "kind": "diagonal", "s_start": 1,
                   "coefficients": list(window.coefficients), **extra}
     return {"query": {**_field_query(args, field), "n_terms": args.n_terms}, "result": result, "warnings": warnings}, 0
@@ -253,7 +263,7 @@ def _run_verify(args) -> tuple[dict, int]:
 
 def _run_reproduce(args) -> tuple[dict, int]:
     from . import verify
-    report = verify.reproduce_example(args.theta_source)
+    report = verify.reproduce_example()  # F_31 has odd degree: both thetas agree
     payload = {
         "query": {"command": "reproduce-example", "theta_source": args.theta_source},
         "result": report,

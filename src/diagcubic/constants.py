@@ -36,8 +36,8 @@ A second prediction of theta ("theta_paper", the published parity rule) is
 computed independently: 0 for even k, and the sign of Im((r1+3*sqrt(3)*r2*i)^k)
 for odd k.  The two rules agree for odd k but disagree when p = 1 (mod 3) and
 k is even (e.g. q = 49), where the exact path gives a nonzero theta and the
-brute-force oracle confirms it.  Both values are retained; the exact one is
-the default everywhere.
+brute-force oracle confirms it.  Both values are reported; the counts read
+only the exact one.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from typing import NamedTuple
 from .eisenstein import EisensteinInt, jacobi_sum_cubic, r_pair
 from .errors import DomainError, IntegrityError
 from .fields import CubicClass, FieldDescriptor
-
-THETA_SOURCES = ("exact", "paper")
 
 
 class CubicData(NamedTuple):
@@ -63,13 +61,8 @@ class CubicData(NamedTuple):
     r1: int | None  # present iff p = 1 (mod 3)
     r2: int | None
     theta: int  # from the exact Eisenstein path; source of truth
-    theta_paper: int  # from the parity sign rule; retained for comparison
+    theta_paper: int  # from the parity sign rule; reported, never counted with
     gauss_cubed_over_q: EisensteinInt
-
-    def theta_from(self, source: str) -> int:
-        if source not in THETA_SOURCES:
-            raise DomainError(f"unknown theta source {source!r}, expected one of {THETA_SOURCES}")
-        return self.theta if source == "exact" else self.theta_paper
 
 
 def theta_sign_rule(k: int, r1: int, r2: int) -> int:
@@ -85,16 +78,15 @@ def theta_sign_rule(k: int, r1: int, r2: int) -> int:
     return (EisensteinInt((r1 + 3 * r2) // 2, 3 * r2) ** k).imag_sign()
 
 
-def delta(data: CubicData, cls: CubicClass, theta_source: str = "exact") -> int:
+def delta(data: CubicData, cls: CubicClass) -> int:
     """Sign factor for a non-cubic target class: -theta for C1, +theta for C2.
 
     Undefined for cubes and zero; those targets never consult it.
     """
-    theta = data.theta_from(theta_source)
     if cls is CubicClass.C1:
-        return -theta
+        return -data.theta
     if cls is CubicClass.C2:
-        return theta
+        return data.theta
     raise DomainError(f"the sign factor is defined only for non-cubic classes, not {cls}")
 
 

@@ -72,22 +72,20 @@ class SeriesWindow(NamedTuple):
     constants: CubicData
 
 
-def excess_seeds(data: CubicData, cls: CubicClass, theta_source: str = "exact") -> tuple[int, int, int]:
-    """Seeds (u_1, u_2, u_3) of the deviation u_s = N_s - q^(s-1) for a
-    nonzero target class.  The zero target has its own seeds; see
-    :func:`count_diagonal`."""
+def excess_seeds(data: CubicData, cls: CubicClass) -> tuple[int, int, int]:
+    """Seeds (u_1, u_2, u_3) of the deviation u_s = N_s - q^(s-1) for any
+    target class, zero included.  Only the non-cubic seeds read theta, the
+    exact one of the constants; a half-integer second seed would mean the
+    constants are wrong, and is refused."""
     c, d, q = data.c, data.d, data.q
+    if cls is CubicClass.ZERO:
+        return 0, 2 * (q - 1), c * (q - 1)
     if cls is CubicClass.C0:
         return 2, c - 2, 6 * q - c
-    if cls in NONCUBIC_CLASSES:
-        numerator = -4 - c - 9 * d * delta(data, cls, theta_source)
-        if numerator % 2 != 0:
-            raise IntegrityError(
-                f"second seed {numerator}/2 is not an integer for q = {q}: "
-                f"theta source {theta_source!r} is inconsistent with this field"
-            )
-        return -1, numerator // 2, -3 * q - c
-    raise DomainError("seeds are defined for nonzero classes; the zero target has its own")
+    numerator = -4 - c - 9 * d * delta(data, cls)
+    if numerator % 2 != 0:
+        raise IntegrityError(f"second seed {numerator}/2 is not an integer for q = {q}")
+    return -1, numerator // 2, -3 * q - c
 
 
 def _recurrence(seeds: tuple[int, int, int], q: int, c: int) -> Iterator[int]:
@@ -167,21 +165,7 @@ def _term_at(n: int, seeds: tuple[int, int, int], q: int, c: int) -> int:
     return _q_power(q, m) * (r0 * x1 + r1 * x2 + r2 * x3)
 
 
-def excess_at(data: CubicData, cls: CubicClass, s: int, theta_source: str = "exact") -> int:
-    """u_s for a nonzero target class, any s >= 1, exact."""
-    if s < 1:
-        raise DomainError("the deviation sequence starts at s = 1")
-    return _term_at(s - 1, excess_seeds(data, cls, theta_source), data.q, data.c)
-
-
-def _seeds(data: CubicData, target: CubicClass, theta_source: str) -> tuple[int, int, int]:
-    """Seeds of u_s = N_s - q^(s-1) for any target class, zero included."""
-    if target is CubicClass.ZERO:
-        return 0, 2 * (data.q - 1), data.c * (data.q - 1)
-    return excess_seeds(data, target, theta_source)
-
-
-def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: str = "exact") -> int:
+def count_diagonal(data: CubicData, s: int, target: CubicClass) -> int:
     """N_s for a target given by its cubic class (CubicClass.ZERO for z = 0).
 
     s = 0 is the empty-tuple convention (1 for the zero target, else 0),
@@ -191,7 +175,7 @@ def count_diagonal(data: CubicData, s: int, target: CubicClass, theta_source: st
         raise DomainError("s must be nonnegative")
     if s == 0:
         return 1 if target is CubicClass.ZERO else 0
-    return _count(data, s, s - 1, _seeds(data, target, theta_source), target)
+    return _count(data, s, s - 1, excess_seeds(data, target), target)
 
 
 def _count(data: CubicData, s: int, n: int, seeds: tuple[int, int, int], target: CubicClass) -> int:
@@ -217,38 +201,38 @@ def bijective_count(q: int, s: int, zero_target: bool) -> int:
     return q ** (s - 1)
 
 
-def _twisted_seeds(data: CubicData, y_cls: CubicClass, theta_source: str) -> tuple[int, int, int]:
+def _twisted_seeds(data: CubicData, y_cls: CubicClass) -> tuple[int, int, int]:
     """Seeds v_i = w_i + (q-1) u_i(y) of v_i = T_{i+1}(y) - q^i, from the
     seeds of the zero target and of the class of y."""
     q = data.q
-    zero_seeds = _seeds(data, CubicClass.ZERO, theta_source)
-    return tuple(w + (q - 1) * u for w, u in zip(zero_seeds, excess_seeds(data, y_cls, theta_source)))
+    zero_seeds = excess_seeds(data, CubicClass.ZERO)
+    return tuple(w + (q - 1) * u for w, u in zip(zero_seeds, excess_seeds(data, y_cls)))
 
 
-def count_twisted(data: CubicData, s: int, y_cls: CubicClass, theta_source: str = "exact") -> int:
+def count_twisted(data: CubicData, s: int, y_cls: CubicClass) -> int:
     """T_s for non-cubic y of the given class, via
     T_s(y) = N_{s-1}(0) + (q-1) * N_{s-1}(y)."""
     if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if s < 2:
         raise DomainError("twisted counts need at least two variables")
-    return _count(data, s, s - 2, _twisted_seeds(data, y_cls, theta_source), y_cls)
+    return _count(data, s, s - 2, _twisted_seeds(data, y_cls), y_cls)
 
 
-def diagonal_series(data: CubicData, target: CubicClass, n: int, theta_source: str = "exact") -> SeriesWindow:
+def diagonal_series(data: CubicData, target: CubicClass, n: int) -> SeriesWindow:
     """First n coefficients N_1..N_n of the counting series for one target,
     generated by the integer recurrence (never by power-series division)."""
     if n < 1:
         raise DomainError("need at least one coefficient")
-    coeffs = _window(_seeds(data, target, theta_source), data.q, data.c, 1, n)
+    coeffs = _window(excess_seeds(data, target), data.q, data.c, 1, n)
     return SeriesWindow(target=target, coefficients=coeffs, constants=data)
 
 
-def twisted_series(data: CubicData, y_cls: CubicClass, n: int, theta_source: str = "exact") -> tuple[int, ...]:
+def twisted_series(data: CubicData, y_cls: CubicClass, n: int) -> tuple[int, ...]:
     """(T_2, ..., T_{n+1}) for non-cubic y, generated by the integer
     recurrence from the same seeds as :func:`count_twisted`."""
     if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
     if n < 1:
         raise DomainError("need at least one coefficient")
-    return _window(_twisted_seeds(data, y_cls, theta_source), data.q, data.c, data.q, n)
+    return _window(_twisted_seeds(data, y_cls), data.q, data.c, data.q, n)

@@ -96,35 +96,34 @@ def supported_field(q: int) -> FieldDescriptor:
 # worked example
 
 
-def twisted3_closed(data: CubicData, y_cls: CubicClass, theta_source: str = "exact") -> int:
+def twisted3_closed(data: CubicData, y_cls: CubicClass) -> int:
     """T_3 in closed form: q^2 + (q-1) * (-c - 9 * delta_y * d) / 2, exact."""
     if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
-    numerator = (data.q - 1) * (-data.c - 9 * delta(data, y_cls, theta_source) * data.d)
+    numerator = (data.q - 1) * (-data.c - 9 * delta(data, y_cls) * data.d)
     if numerator % 2 != 0:
-        raise IntegrityError(f"half-integer T_3 for q = {data.q} under theta source {theta_source!r}")
+        raise IntegrityError(f"half-integer T_3 for q = {data.q}")
     return data.q * data.q + numerator // 2
 
 
-def check_example_reproduction(theta_source: str = "exact") -> list[Check]:
+def check_example_reproduction() -> list[Check]:
     """F_31 with g = 3: constants, sign factors, and both T_3 values, each
-    matched exactly by the closed form and by brute force.  The theta source
-    is switchable; both agree here since the extension degree is odd."""
+    matched exactly by the closed form and by brute force."""
     checks = []
     f31 = make_field(31, 1, generator=[3])
     data = cubic_data(f31)
     expected = EXAMPLE_EXPECTED
     for key in ("c", "d", "r1", "r2"):
         checks.append(_check(f"example/{key}", getattr(data, key) == expected[key], getattr(data, key), expected[key]))
-    d_g = delta(data, CubicClass.C1, theta_source)
-    d_g2 = delta(data, CubicClass.C2, theta_source)
+    d_g = delta(data, CubicClass.C1)
+    d_g2 = delta(data, CubicClass.C2)
     checks.append(_check("example/delta_g", d_g == expected["delta_g"], d_g, expected["delta_g"]))
     checks.append(_check("example/delta_g2", d_g2 == expected["delta_g2"], d_g2, expected["delta_g2"]))
 
     g = f31.g
     for key, y, cls in (("t3_g", g, CubicClass.C1), ("t3_g2", g * g, CubicClass.C2)):
-        closed = twisted3_closed(data, cls, theta_source)
-        recursed = counting.count_twisted(data, 3, cls, theta_source)
+        closed = twisted3_closed(data, cls)
+        recursed = counting.count_twisted(data, 3, cls)
         brute = oracle.brute_twisted(f31, 3, y)
         ok = closed == recursed == brute == expected[key]
         checks.append(_check(
@@ -135,8 +134,8 @@ def check_example_reproduction(theta_source: str = "exact") -> list[Check]:
     return checks
 
 
-def reproduce_example(theta_source: str = "exact") -> dict:
-    checks = check_example_reproduction(theta_source)
+def reproduce_example() -> dict:
+    checks = check_example_reproduction()
     status = "PASS" if all(c.status == "pass" for c in checks) else "FAIL"
     return {"status": status, "checks": [c.to_dict() for c in checks]}
 
@@ -543,7 +542,7 @@ def check_even_degree_adjudication() -> list[Check]:
         "warn",
         f"theta={data.theta}, parity rule predicts 0 and a second seed {parity_numerator}/2",
         "documented finding: the parity-rule value is impossible by integrality",
-        detail="counts use the exact theta; request theta_source='paper' to see the failure",
+        detail="counts use the exact theta; --theta-source paper refuses non-cubic classes here",
     ))
     return checks
 

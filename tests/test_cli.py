@@ -513,6 +513,31 @@ class TestCharacteristicThree:
         assert json.loads(out)["error"]["message"] == message
 
 
+def _paper_refused(q: int, theta: int) -> dict:
+    """The error of a non-cubic count under the parity rule's theta 0."""
+    return {
+        "type": "integrity",
+        "message": f"the parity rule gives theta = 0, the exact theta is {theta} for q = {q}: "
+                   "theta source 'paper' is inconsistent with this field",
+    }
+
+
+#: (--p, --k, q, exact theta) for fields q = p^2 with p = 1 (mod 3), where the
+#: parity rule's theta 0 is wrong: c is odd for q = 49 and 169, so its second
+#: seed is a half-integer; c is even for q = 961 and 1849 (2 is a cube mod 31
+#: and mod 43), so its counts are integers, and wrong
+PARITY_RULE_WRONG = [
+    pytest.param(p, "2", q, theta, id=f"F_{q}")
+    for p, q, theta in (("7", 49, -1), ("13", 169, 1), ("31", 961, -1), ("43", 1849, 1))
+]
+
+#: fields where the parity rule's theta is the exact one: q = 4, 64 (theta = 0
+#: on both rules), 7, 31 and 343 (odd degree)
+PARITY_RULE_RIGHT = [("2", "2"), ("7", "1"), ("31", "1"), ("2", "6"), ("7", "3")]
+
+NONCUBIC_TARGETS = (("--z", "c1"), ("--z", "c2"), ("--y", "c1"), ("--y", "c2"))
+
+
 class TestTwistedIntegrity:
     def test_half_integer_series_fails_like_the_count(self, capsys):
         # the twisted series takes its seeds from the diagonal ones, guard included
@@ -522,42 +547,73 @@ class TestTwistedIntegrity:
         assert series == count
         code, out = series
         assert code == 3
-        assert json.loads(out)["error"] == {
-            "type": "integrity",
-            "message": "second seed -17/2 is not an integer for q = 49: "
-                       "theta source 'paper' is inconsistent with this field",
-        }
+        assert json.loads(out)["error"] == _paper_refused(49, -1)
 
-    @pytest.mark.parametrize("s", ("2", "20000"))
-    @pytest.mark.parametrize("target", (("--z", "c1"), ("--z", "c2"), ("--y", "c1"), ("--y", "c2")))
+    @pytest.mark.parametrize("s", ("2", "3", "20000"))
+    @pytest.mark.parametrize("target", NONCUBIC_TARGETS)
     def test_paper_theta_refused_on_f49_at_any_s(self, capsys, s, target):
-        # the seeds are checked before any power is taken, small s or large
+        # the theta is checked before any power is taken, small s or large
         code, out = run_cli(capsys, "count", "--p", "7", "--k", "2", "--s", s, *target, "--theta-source", "paper")
         assert code == 3
-        assert json.loads(out)["error"] == {
-            "type": "integrity",
-            "message": "second seed -17/2 is not an integer for q = 49: "
-                       "theta source 'paper' is inconsistent with this field",
-        }
+        assert json.loads(out)["error"] == _paper_refused(49, -1)
+
+    @pytest.mark.parametrize("s", ("2", "3", "20000"))
+    @pytest.mark.parametrize("target", NONCUBIC_TARGETS)
+    @pytest.mark.parametrize("p, k, q, theta", PARITY_RULE_WRONG[1:])
+    def test_paper_theta_refused_at_any_s(self, capsys, p, k, q, theta, target, s):
+        code, out = run_cli(capsys, "count", "--p", p, "--k", k, "--s", s, *target, "--theta-source", "paper")
+        assert code == 3
+        assert json.loads(out)["error"] == _paper_refused(q, theta)
+
+    @pytest.mark.parametrize("target", NONCUBIC_TARGETS)
+    @pytest.mark.parametrize("p, k, q, theta", PARITY_RULE_WRONG)
+    def test_paper_theta_refused_for_series(self, capsys, p, k, q, theta, target):
+        code, out = run_cli(capsys, "series", "--p", p, "--k", k, *target, "--theta-source", "paper")
+        assert code == 3
+        assert json.loads(out)["error"] == _paper_refused(q, theta)
+
+    @pytest.mark.parametrize("target, value", ((("--y", "c1"), 866881), (("--y", "c2"), 936001)))
+    def test_exact_theta_where_two_is_a_cube(self, capsys, target, value):
+        # oracle.brute_twisted(make_field(31, 2), 3, y, max_q=1000) gives the same
+        # values; the parity rule's theta 0 would give 901441 for both classes
+        code, out = run_cli(capsys, "count", "--p", "31", "--k", "2", "--s", "3", *target)
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == value
 
     @pytest.mark.parametrize("s", ("3", "20000"))
     def test_paper_theta_refused_after_exact_counts(self, capsys, s):
-        # exact-theta counts over F_49 fill the power memo first; the refusal
-        # neither reads nor changes it
-        for target in (("--z", "c1"), ("--z", "c2"), ("--y", "c1"), ("--y", "c2")):
-            assert run_cli(capsys, "count", "--p", "7", "--k", "2", "--s", s, *target)[0] == 0
-        memos = (counting._cube_power, counting._q_power)
-        warm = [memo.cache_info() for memo in memos]
-        assert all(info.currsize for info in warm)
-        for target in (("--z", "c1"), ("--z", "c2"), ("--y", "c1"), ("--y", "c2")):
-            code, out = run_cli(capsys, "count", "--p", "7", "--k", "2", "--s", s, *target, "--theta-source", "paper")
-            assert code == 3
-            assert json.loads(out)["error"] == {
-                "type": "integrity",
-                "message": "second seed -17/2 is not an integer for q = 49: "
-                           "theta source 'paper' is inconsistent with this field",
-            }
-        assert [memo.cache_info() for memo in memos] == warm
+        # exact-theta counts fill the power memo first; the refusal neither
+        # reads nor changes it
+        for p, k, q, theta in (("7", "2", 49, -1), ("31", "2", 961, -1)):
+            for target in NONCUBIC_TARGETS:
+                assert run_cli(capsys, "count", "--p", p, "--k", k, "--s", s, *target)[0] == 0
+            memos = (counting._cube_power, counting._q_power)
+            warm = [memo.cache_info() for memo in memos]
+            assert all(info.currsize for info in warm)
+            for target in NONCUBIC_TARGETS:
+                code, out = run_cli(capsys, "count", "--p", p, "--k", k, "--s", s, *target, "--theta-source", "paper")
+                assert code == 3
+                assert json.loads(out)["error"] == _paper_refused(q, theta)
+            assert [memo.cache_info() for memo in memos] == warm
+
+    @pytest.mark.parametrize("p, k, q, theta", PARITY_RULE_WRONG)
+    def test_paper_theta_unused_for_cubic_targets(self, capsys, p, k, q, theta):
+        # zero and the cubes never read theta: both sources print the same bytes
+        for target in ("zero", "c0"):
+            for argv in (("count", "--s", "3"), ("count", "--s", "20000"), ("series",)):
+                argv = (*argv, "--p", p, "--k", k, "--z", target)
+                exact = run_cli(capsys, *argv)
+                assert exact[0] == 0
+                assert run_cli(capsys, *argv, "--theta-source", "paper") == exact
+
+    @pytest.mark.parametrize("p, k", PARITY_RULE_RIGHT, ids="^".join)
+    def test_paper_theta_changes_nothing_elsewhere(self, capsys, p, k):
+        commands = [("count", "--s", str(s)) for s in (*range(1, 7), 1000)] + [("series", "--n-terms", "20")]
+        for option in ("--z", "--y"):
+            for keyword in ("zero", "c0", "c1", "c2"):
+                for command in commands:
+                    argv = (*command, "--p", p, "--k", k, option, keyword)
+                    assert run_cli(capsys, *argv, "--theta-source", "paper") == run_cli(capsys, *argv)
 
 
 class _ClosedPipe(io.StringIO):

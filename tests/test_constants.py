@@ -107,13 +107,6 @@ class TestDelta:
         with pytest.raises(DomainError):
             delta(data, CubicClass.ZERO)
 
-    def test_paper_source(self, f49):
-        data = cubic_data(f49)
-        assert delta(data, CubicClass.C1, theta_source="paper") == 0
-        assert delta(data, CubicClass.C1) == -data.theta
-        with pytest.raises(DomainError):
-            data.theta_from("folklore")
-
 
 class TestCubicData:
     def test_f31_record(self, f31):

@@ -15,7 +15,7 @@ from diagcubic import (
 from diagcubic import counting as counting_module
 from diagcubic import verify as verify_module
 from diagcubic.constants import delta
-from diagcubic.counting import excess_at, excess_seeds
+from diagcubic.counting import excess_seeds
 from diagcubic.oracle import brute_diagonal
 from diagcubic.verify import SUPPORTED_FIELDS, signed_d_mod4, twisted3_closed
 
@@ -36,27 +36,25 @@ class TestSeeds:
         data = cubic_data(f4)
         assert excess_seeds(data, C1) == excess_seeds(data, C2)
 
-    def test_zero_class_rejected(self, f7):
-        with pytest.raises(DomainError):
-            excess_seeds(cubic_data(f7), ZERO)
+    def test_zero_row(self, f7):
+        assert excess_seeds(cubic_data(f7), ZERO) == (0, 12, 6)  # (0, 2(q-1), c(q-1)) with c = 1
 
 
 class TestRecurrence:
     def test_f7_step(self, f7):
         data = cubic_data(f7)
         # u_4 = 3q*u_2 + qc*u_1 = 21*(-1) + 7*2 = -7 for the cube class
-        assert excess_at(data, C0, 4) == -7
-        assert count_diagonal(data, 4, C0) == 343 - 7  # == 336, brute-checked
+        assert count_diagonal(data, 4, C0) - data.q ** 3 == -7  # N_4 = 336, brute-checked
 
     def test_seed_positions(self, f7):
         data = cubic_data(f7)
-        assert excess_at(data, C0, 3) == excess_seeds(data, C0)[2]
+        assert count_diagonal(data, 3, C0) - data.q ** 2 == excess_seeds(data, C0)[2]
 
     def test_f31_two_steps(self, f31):
         data = cubic_data(f31)
         u1, u2, u3 = excess_seeds(data, C1)
         q, c = data.q, data.c
-        assert excess_at(data, C1, 5) == 3 * q * u3 + q * c * u2
+        assert count_diagonal(data, 5, C1) - q ** 4 == 3 * q * u3 + q * c * u2
 
     def test_closure_for_all_supported_fields(self):
         for q, (p, k) in SUPPORTED_FIELDS.items():
@@ -97,18 +95,6 @@ class TestCountDiagonal:
                     count_diagonal(data, s, cls) for cls in (C0, C1, C2)
                 )
                 assert total == q ** s
-
-    def test_theta_sources_agree_for_odd_degree(self, f7, f31):
-        for field in (f7, f31):
-            data = cubic_data(field)
-            for s in range(1, 6):
-                for cls in (C1, C2):
-                    assert count_diagonal(data, s, cls) == count_diagonal(data, s, cls, "paper")
-
-    def test_paper_theta_impossible_at_q49(self, f49):
-        data = cubic_data(f49)
-        with pytest.raises(IntegrityError):
-            count_diagonal(data, 2, C1, theta_source="paper")
 
 
 class TestBijectiveCount:

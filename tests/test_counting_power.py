@@ -31,10 +31,9 @@ from diagcubic.counting import (
     _cube_power,
     _q_power,
     _recurrence,
-    _seeds,
     _term_at,
     _twisted_seeds,
-    excess_at,
+    excess_seeds,
 )
 from diagcubic.fields import NONCUBIC_CLASSES
 from diagcubic.verify import cd_search
@@ -81,8 +80,8 @@ def _witness(data, count, cls, s):
     """count(data, s, cls) by the plain power x^(s-1), or x^(s-2) for T_s."""
     q, c = data.q, data.c
     if count is count_diagonal:
-        return q ** (s - 1) + _x_power_term(s - 1, _seeds(data, cls, "exact"), q, c)
-    return q ** (s - 1) + _x_power_term(s - 2, _twisted_seeds(data, cls, "exact"), q, c)
+        return q ** (s - 1) + _x_power_term(s - 1, excess_seeds(data, cls), q, c)
+    return q ** (s - 1) + _x_power_term(s - 2, _twisted_seeds(data, cls), q, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,12 +125,12 @@ def test_smallest_counts(pk):
     data = cubic_data(make_field(*pk))
     q, c = data.q, data.c
     for cls in CLASSES:
-        u1, u2, u3 = seeds = _seeds(data, cls, "exact")
+        u1, u2, u3 = seeds = excess_seeds(data, cls)
         closed = (1 + u1, q + u2, q * q + u3, q ** 3 + 3 * q * u2 + q * c * u1)
         old = tuple(q ** (s - 1) + _x_power_term(s - 1, seeds, q, c) for s in range(1, 5))
         assert tuple(count_diagonal(data, s, cls) for s in range(1, 5)) == closed == old
     for cls in NONCUBIC_CLASSES:
-        seeds = _twisted_seeds(data, cls, "exact")
+        seeds = _twisted_seeds(data, cls)
         # T_2(y) = 1: x_1^3 + y x_2^3 = 0 only at the origin for non-cubic y
         assert count_twisted(data, 2, cls) == q + seeds[0] == q + _x_power_term(0, seeds, q, c) == 1
 
@@ -161,7 +160,7 @@ WINDOWS = (1, 2, 3, 4, 300)
 def test_diagonal_series_equals_fresh_powers(data, n):
     q, c = data.q, data.c
     for cls in CLASSES:
-        stream = _recurrence(_seeds(data, cls, "exact"), q, c)
+        stream = _recurrence(excess_seeds(data, cls), q, c)
         expected = tuple(q ** i + next(stream) for i in range(n))
         assert diagonal_series(data, cls, n).coefficients == expected
 
@@ -294,15 +293,6 @@ def test_other_coset_generator_interleaves(s):
         for g in order * 2:
             assert count_diagonal(data[g], s, classes[g]) == expected_n
             assert count_twisted(data[g], s, classes[g]) == expected_t
-
-
-@pytest.mark.parametrize("s", (1, 2, 3, 4, 10, 1_000, 20_000))
-def test_excess_at_is_count_less_power_warm_and_cold(deep_data, s):
-    for data in deep_data.values():
-        for cls in CLASSES[1:]:
-            cold = _cold(excess_at, data, cls, s)
-            assert cold == _cold(count_diagonal, data, s, cls) - data.q ** (s - 1)
-            assert excess_at(data, cls, s) == cold == count_diagonal(data, s, cls) - data.q ** (s - 1)
 
 
 def test_memos_stay_within_their_size():

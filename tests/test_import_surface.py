@@ -5,6 +5,7 @@ long since imported the whole package.
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -66,7 +67,6 @@ PUBLIC_NAMES = {
     "cubic_exp_sum_numeric": "diagcubic.oracle",
     "delta": "diagcubic.constants",
     "diagonal_count_vector": "diagcubic.oracle",
-    "excess_at": "diagcubic.counting",
     "excess_seeds": "diagcubic.counting",
     "find_generator": "diagcubic.fields",
     "find_irreducible": "diagcubic.fields",
@@ -105,6 +105,28 @@ def test_root_exports_the_readme_api():
 def test_witnesses_live_outside_the_count_path(module):
     namespace = vars(importlib.import_module(f"diagcubic.{module}"))
     assert [name for name in WITNESS_NAMES if name in namespace] == []
+
+
+#: module -> the functions that read theta: each reads the exact one only
+THETA_READERS = {
+    "diagcubic.counting": ("count_diagonal", "count_twisted", "diagonal_series", "twisted_series", "excess_seeds"),
+    "diagcubic.constants": ("delta",),
+    "diagcubic.verify": ("twisted3_closed", "check_example_reproduction", "reproduce_example"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in THETA_READERS.items() for n in names])
+def test_no_theta_source_parameter(module, name):
+    function = getattr(importlib.import_module(module), name)
+    assert "theta_source" not in inspect.signature(function).parameters
+
+
+def test_second_theta_route_deleted():
+    constants = importlib.import_module("diagcubic.constants")
+    counting = vars(importlib.import_module("diagcubic.counting"))
+    assert not hasattr(constants, "THETA_SOURCES") and not hasattr(constants.CubicData, "theta_from")
+    assert "theta_from" not in vars(constants)
+    assert "excess_at" not in counting and "_seeds" not in counting
 
 
 def test_star_import():

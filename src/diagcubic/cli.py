@@ -152,7 +152,8 @@ def _data_warnings(data: CubicData) -> list[dict]:
             "code": "theta-parity-rule-mismatch",
             "message": (
                 f"exact theta = {data.theta} but the even-degree parity rule gives "
-                f"{data.theta_paper}; counts use the exact value (override with --theta-source paper)"
+                f"{data.theta_paper}; counts use the exact theta, and --theta-source paper is refused "
+                f"for non-cubic targets on this field"
             ),
         }]
     return []

@@ -170,6 +170,8 @@ class FieldElement:
             raise DomainError("inverse of zero")
         # the base is a unit, so any integer exponent reduces mod q - 1
         e %= field.q - 1
+        if field.k == 1:
+            return FieldElement(field, (pow(self.coeffs[0], e, field.p),))
         result = field.one.coeffs
         base = self.coeffs
         while e:

@@ -3,9 +3,10 @@
 The exact side counts zeros by dynamic programming over the additive group:
 the distribution of x_1^3 + ... + x_s^3 is the s-fold additive convolution of
 the cube histogram, O(s * q^2) integer operations and bit-identical however
-it is partitioned.  It is deliberately simpler than the closed forms it
-checks, and is cross-checked in turn against naive q^s enumeration on tiny
-fields.
+it is partitioned.  The distribution for s is one convolution step from the
+one for s - 1, and each is built once per (field, s) and cached, like the
+tables below.  It is deliberately simpler than the closed forms it checks,
+and is cross-checked in turn against naive q^s enumeration on tiny fields.
 
 The numeric side evaluates the additive character psi(x) = exp(2*pi*i*Tr(x)/p)
 and the cubic character in double precision to confirm the analytic
@@ -125,9 +126,21 @@ def cube_histogram(field: FieldDescriptor) -> CubeHistogram:
 
 @lru_cache(maxsize=32)
 def _add_codes(field: FieldDescriptor) -> list[list[int]]:
-    """Addition on base-p element codes, tabulated once per field."""
-    elems = list(field.elements())
-    return [[int(a + b) for b in elems] for a in elems]
+    """Addition on base-p element codes, tabulated once per field.
+
+    FieldElement addition is coefficient-wise mod p, so digit j of a code sum
+    is (a_j + b_j) mod p; the table grows one digit at a time, like the trace.
+    """
+    p = field.p
+    add = [[0]]
+    for j in range(field.k):
+        # codes below p^(j+1): a = a_low + ah * p^j, b = b_low + bh * p^j
+        step = p ** j
+        add = [
+            [row[b_low] + (ah + bh) % p * step for bh in range(p) for b_low in range(step)]
+            for ah in range(p) for row in add
+        ]
+    return add
 
 
 def _check_cap(field: FieldDescriptor, s: int, max_q: int, max_s: int) -> None:
@@ -137,37 +150,52 @@ def _check_cap(field: FieldDescriptor, s: int, max_q: int, max_s: int) -> None:
         )
 
 
+@lru_cache(maxsize=256)  # a suite's (field, s) pairs, each a tuple of q counts
+def _distribution(field: FieldDescriptor, s: int) -> tuple[int, ...]:
+    """Counts of x_1^3 + ... + x_s^3 = v for every v, indexed by int(v): the
+    cube histogram for s = 1, else dist(s - 1) convolved with it once.
+
+    :func:`diagonal_count_vector` asks for dist(s - 1) first, so it is cached
+    when dist(s) is built and each (field, s) is convolved once.
+    """
+    hist = cube_histogram(field).counts
+    if s == 1:
+        return hist
+    prev = _distribution(field, s - 1)
+    support = [(code, count) for code, count in enumerate(hist) if count]
+    q = field.q
+    dist = [0] * q
+    if field.k == 1:
+        for v, dv in enumerate(prev):
+            if dv:
+                for w, hw in support:
+                    dist[(v + w) % q] += dv * hw
+        return tuple(dist)
+    add = _add_codes(field)
+    for v, dv in enumerate(prev):
+        if dv:
+            row = add[v]
+            for w, hw in support:
+                dist[row[w]] += dv * hw
+    return tuple(dist)
+
+
 def diagonal_count_vector(
     field: FieldDescriptor, s: int, *, max_q: int = MAX_Q, max_s: int = MAX_S
 ) -> list[int]:
-    """Exact counts of x_1^3 + ... + x_s^3 = v for every v, indexed by int(v)."""
+    """Exact counts of x_1^3 + ... + x_s^3 = v for every v, indexed by int(v).
+
+    The caps are checked before the cache is read, and every call returns a
+    new list.
+    """
     if s < 1:
         raise DomainError("need at least one variable")
     _check_cap(field, s, max_q, max_s)
-    hist = cube_histogram(field).counts
-    support = [(code, count) for code, count in enumerate(hist) if count]
-    if field.k == 1:
-        q = field.q
-        dist = list(hist)
-        for _ in range(s - 1):
-            nxt = [0] * q
-            for v, dv in enumerate(dist):
-                if dv:
-                    for w, hw in support:
-                        nxt[(v + w) % q] += dv * hw
-            dist = nxt
-        return dist
-    add = _add_codes(field)
-    dist = list(hist)
-    for _ in range(s - 1):
-        nxt = [0] * field.q
-        for v, dv in enumerate(dist):
-            if dv:
-                row = add[v]
-                for w, hw in support:
-                    nxt[row[w]] += dv * hw
-        dist = nxt
-    return dist
+    # from s = 1 up: a step not cached finds its predecessor cached, so the
+    # build never recurses more than one level
+    for t in range(1, s + 1):
+        dist = _distribution(field, t)
+    return list(dist)
 
 
 def brute_diagonal(

@@ -33,6 +33,7 @@ the Chowla-Cowles-Cowles mod-4 rule.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -87,9 +88,14 @@ def _max_s(q: int) -> int:
     return 6 if q <= 16 else 4
 
 
-def supported_field(q: int) -> FieldDescriptor:
-    p, k = SUPPORTED_FIELDS[q]
+@lru_cache(maxsize=64)
+def _canonical_field(p: int, k: int = 1) -> FieldDescriptor:
+    """make_field(p, k), built once and shared by every check that reads it."""
     return make_field(p, k)
+
+
+def supported_field(q: int) -> FieldDescriptor:
+    return _canonical_field(*SUPPORTED_FIELDS[q])
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +154,29 @@ def check_oracle_equivalence() -> list[Check]:
     """Closed forms equal brute force on every supported field: all targets
     exhaustively for q <= 31, zero plus one representative per class above."""
     checks = []
-    for q, (p, k) in SUPPORTED_FIELDS.items():
-        field = make_field(p, k)
+    for q in SUPPORTED_FIELDS:
+        field = supported_field(q)
         data = cubic_data(field)
         mismatches = []
         compared = 0
         exhaustive = q <= 31
-        reps = {cls: field.representative(cls) for cls in NONZERO_CLASSES}
+        # (target, its cubic class): each element is classified once per field
+        if exhaustive:
+            targets = [(z, CubicClass.ZERO if z.is_zero() else field.cube_class(z)) for z in field.elements()]
+        else:
+            targets = [(field.zero, CubicClass.ZERO)] + [(field.representative(cls), cls) for cls in NONZERO_CLASSES]
         for s in range(1, _max_s(q) + 1):
             vector = oracle.diagonal_count_vector(field, s)
-            targets = field.elements() if exhaustive else [field.zero, *reps.values()]
-            for z in targets:
-                cls = CubicClass.ZERO if z.is_zero() else field.cube_class(z)
+            for z, cls in targets:
                 compared += 1
                 closed = counting.count_diagonal(data, s, cls)
                 if closed != vector[int(z)]:
                     mismatches.append((s, str(z), closed, vector[int(z)]))
+        ys = [(y, cls) for y, cls in targets if cls in NONCUBIC_CLASSES]
         for s in range(2, _max_s(q) + 1):
-            if exhaustive:
-                ys = [z for z in field.nonzero_elements()
-                      if field.cube_class(z) in NONCUBIC_CLASSES]
-            else:
-                ys = [reps[CubicClass.C1], reps[CubicClass.C2]]
-            for y in ys:
+            for y, cls in ys:
                 compared += 1
-                closed = counting.count_twisted(data, s, field.cube_class(y))
+                closed = counting.count_twisted(data, s, cls)
                 brute = oracle.brute_twisted(field, s, y)
                 if closed != brute:
                     mismatches.append(("T", s, str(y), closed, brute))
@@ -248,13 +252,14 @@ def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
     the witness for :func:`jacobi_sum_cubic`, used by ``verify`` and the tests.
 
     Builds the table ind(x) mod 3 of discrete logs of gen, then sums
-    chi(x) * chi(1 - x) over x in F_p minus {0, 1}.  The one Python-level loop
-    marks half the cubes gen^(3j), about (p - 1)/6 products; -1 is a cube
-    (p = 1 mod 6), so the reflection x -> p - x gives the rest.  The class of
-    the least non-cube k, read off Euler's criterion, is k times the cubes:
-    k strided slice copies.  A few tables of p bytes are alive at once.  The
-    result is checked to have norm p and w-coefficient divisible by 3 before
-    it is returned.
+    chi(x) * chi(1 - x) over x in F_p minus {0, 1}: each pair {x, 1 - x} is
+    tallied once and counted twice, and the self-paired x = (p + 1)/2 once.
+    The one Python-level loop marks half the cubes gen^(3j), about (p - 1)/6
+    products; -1 is a cube (p = 1 mod 6), so the reflection x -> p - x gives
+    the rest.  The class of the least non-cube k, read off Euler's criterion,
+    is k times the cubes: k strided slice copies.  A few tables of p bytes are
+    alive at once.  The result is checked to have norm p and w-coefficient
+    divisible by 3 before it is returned.
     p above ``_MAX_JACOBI_P`` is refused with a ResourceError before any work.
     """
     if p > _MAX_JACOBI_P:
@@ -297,15 +302,18 @@ def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
     del total
 
     # chi(x) * chi(1-x) = w^(ind(x) + ind(1-x)); tally the three powers of w.
-    # For x = 2 .. p-1, 1 - x = p + 1 - x runs over the same range backwards, so
-    # the indices of 1 - x are head reversed.  Adding the two byte strings as
-    # integers adds them bytewise, since no byte sum exceeds 4.
-    head = index[2:]
+    # x and 1 - x = p + 1 - x give the same term, so the pairs with
+    # x = 2 .. m - 1, m = (p + 1)/2, are tallied once and counted twice; their
+    # partners p - 1 .. m + 1 are the top of the table reversed.  Adding the
+    # two byte strings as integers adds them bytewise, since no byte sum
+    # exceeds 4.  The middle point m = 1 - m is its own partner.
+    m = (p + 1) // 2
+    total = int.from_bytes(index[2:m], "little") + int.from_bytes(index[:m:-1], "little")
+    sums = total.to_bytes(m - 2, "little")
+    tally = [0, 2 * (sums.count(1) + sums.count(4)), 2 * sums.count(2)]
+    tally[2 * index[m] % 3] += 1
     del index
-    total = int.from_bytes(head, "little") + int.from_bytes(head[::-1], "little")
-    sums = total.to_bytes(p - 2, "little")
-    n1 = sums.count(1) + sums.count(4)
-    n2 = sums.count(2)
+    n1, n2 = tally[1], tally[2]
     n0 = (p - 2) - n1 - n2
     # n0 + n1*w + n2*w^2 with w^2 = -1 - w
     j_sum = EisensteinInt(n0 - n2, n1 - n2)
@@ -332,7 +340,7 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
     by it."""
     checks = []
     for q, (p, k) in SUPPORTED_FIELDS.items():
-        field = make_field(p, k)
+        field = supported_field(q)
         data = cubic_data(field)  # construction re-asserts every invariant
         ok = (
             (data.c, data.d) == cd_search(q, p)  # the Diophantine witness
@@ -383,8 +391,8 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
 def check_numeric_identities() -> list[Check]:
     """Double-precision confirmations of the analytic identities, all fields."""
     checks = []
-    for q, (p, k) in SUPPORTED_FIELDS.items():
-        field = make_field(p, k)
+    for q, (p, _) in SUPPORTED_FIELDS.items():
+        field = supported_field(q)
         data = cubic_data(field)
         sqrt_q = math.sqrt(q)
         cubic_tol = 1e-5 * q ** 1.5
@@ -403,10 +411,9 @@ def check_numeric_identities() -> list[Check]:
         worst["power-sum-total"] = abs(sum(s_values))
         worst["power-sum-period"] = abs(oracle.cubic_exp_sum_numeric(field, g ** 4) - s_values[0])
         worst["power-sum-decomposition"] = max(
-            abs(oracle.cubic_exp_sum_numeric(field, h)
-                - (field.cubic_character(h).to_complex().conjugate() * g_sum
-                   + field.cubic_character(h).to_complex() * g_conj))
+            abs(oracle.cubic_exp_sum_numeric(field, h) - (chi.conjugate() * g_sum + chi * g_conj))
             for h in field.nonzero_elements()
+            for chi in (field.cubic_character(h).to_complex(),)
         )
         ortho = oracle.orthogonality_check(field)
         worst["orthogonality"] = ortho.max_error
@@ -492,7 +499,7 @@ def check_mod4_sign_rule(prime_bound: int = MOD4_PRIME_BOUND) -> list[Check]:
     for p in primes_up_to(prime_bound):
         if p % 3 != 1:
             continue
-        field = make_field(p)
+        field = _canonical_field(p)
         if field.cube_class(field.element([2])) is CubicClass.C0:
             continue  # the rule is stated only for 2 non-cubic
         applicable.append(p)
@@ -551,7 +558,7 @@ def check_bijective_fields() -> list[Check]:
     """q != 1 (mod 3): every count is q^(s-1), closed form and brute force."""
     checks = []
     for q, (p, k) in TRIVIAL_FIELDS.items():
-        field = make_field(p, k)
+        field = _canonical_field(p, k)
         mismatches = []
         for s in range(1, 5):
             vector = oracle.diagonal_count_vector(field, s)

@@ -242,6 +242,32 @@ class TestHalfWalk:
         for g in generators:
             assert jacobi_sum_direct(p, g) == _jacobi_sum_walk(p, g), (p, g)
 
+    def test_middle_point_in_each_class(self):
+        # x = (p + 1)/2 = 1 - x is its own partner, tallied once; across these
+        # (p, gen) it lies in each cubic class (over F_31, 2 and 1/2 are cubes)
+        classes = set()
+        for p in (7, 13, 19, 31):
+            gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+            for g in (gen, _other_coset_generator(p, gen)):
+                assert jacobi_sum_direct(p, g) == _jacobi_sum_walk(p, g), (p, g)
+                e = (p - 1) // 3
+                t = pow(g, e, p)
+                classes.add({1: 0, t: 1, t * t % p: 2}[pow((p + 1) // 2, e, p)])
+        assert classes == {0, 1, 2}
+
+    @pytest.mark.parametrize("p, gen, error, message", [
+        (10_000_141, 2, ResourceError,
+         "the direct cubic Jacobi sum over F_10000141 needs a table of 10000141 entries, above the cap of p <= 10000000"),
+        (91, 2, DomainError, "91 is not prime"),
+        (11, 2, DomainError, "no cubic character mod 11: p = 2 (mod 3)"),
+        (31, 2, DomainError, "2 does not generate the units mod 31"),
+        (31, 0, DomainError, "0 is not a unit mod 31"),
+    ])
+    def test_refusals_unchanged(self, p, gen, error, message):
+        with pytest.raises(error) as refused:
+            jacobi_sum_direct(p, gen)
+        assert str(refused.value) == message
+
     def test_near_the_cap(self):
         p = 9_999_991
         gen = next(g for g in range(2, p) if _is_primitive_root(g, p))

@@ -117,6 +117,47 @@ class TestArithmetic:
             assert a * a.inverse() == field.one
 
 
+def _pow_by_squaring(x, e):
+    """x ** e for a unit x by the square-and-multiply loop that prime fields
+    ran before they used builtin pow: the exponent reduced mod q - 1, then
+    products of coefficient tuples."""
+    field = x.field
+    e %= field.q - 1
+    result, base = field.one.coeffs, x.coeffs
+    while e:
+        if e & 1:
+            result = field._mul_coeffs(result, base)
+        base = field._mul_coeffs(base, base)
+        e >>= 1
+    return fields_module.FieldElement(field, result)
+
+
+class TestPrimeFieldPow:
+    """Builtin pow on prime fields against the square-and-multiply loop."""
+
+    @pytest.mark.parametrize("p, codes", [
+        (7, range(1, 7)), (31, range(1, 31)), (9973, [*range(1, 9973, 97), 9971, 9972]),
+    ])
+    def test_units_match_the_loop(self, p, codes):
+        field = make_field(p)
+        q = field.q
+        for code in codes:
+            x = field.element_from_int(code)
+            for e in (0, 1, -1, q - 2, q - 1, q, 10 ** 30 + 7, -10 ** 30):
+                assert x ** e == _pow_by_squaring(x, e), (code, e)
+
+    @pytest.mark.parametrize("p", [7, 31, 9973])
+    def test_zero_base(self, p):
+        field = make_field(p)
+        q = field.q
+        for e in (1, q - 2, q - 1, q, 10 ** 30 + 7):
+            assert field.zero ** e == field.zero
+        assert field.zero ** 0 == field.one
+        for e in (-1, -10 ** 30):
+            with pytest.raises(DomainError, match=r"^inverse of zero$"):
+                field.zero ** e
+
+
 class TestNormTrace:
     def test_prime_field_identity(self, f7):
         for z in f7.elements():

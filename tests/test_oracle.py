@@ -1,6 +1,7 @@
 import ast
 import cmath
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,12 @@ class TestTableRoute:
         assert list(tables.trace) == [x.trace() for x in field.elements()]
         assert all(abs(a - b) <= 1e-12 for a, b in zip(tables.psi, _psi_by_element(field), strict=True))
 
+    def test_add_codes(self, p, k):
+        # the digit-wise table against FieldElement addition, its definition
+        field = make_field(p, k)
+        elems = list(field.elements())
+        assert oracle._add_codes(field) == [[int(a + b) for b in elems] for a in elems]
+
     def test_exp_and_log(self, p, k):
         field = make_field(p, k)
         tables = oracle._tables(field)
@@ -262,6 +269,79 @@ def test_full_report_builds_each_table_once(monkeypatch):
     info = cached.cache_info()
     assert info.misses == len(touched) == info.currsize
     assert info.hits > 0
+
+
+def test_full_report_convolves_each_distribution_once(monkeypatch):
+    keys = set()
+    cached = oracle._distribution
+
+    def recording(field, s):
+        keys.add((field, s))
+        return cached(field, s)
+
+    cached.cache_clear()
+    monkeypatch.setattr(oracle, "_distribution", recording)
+    report = verify.full_report(jacobi_bound=100)
+    assert report["failed"] == 0
+    info = cached.cache_info()
+    assert info.misses == len(keys) == info.currsize
+    assert info.hits > 0
+
+
+def _reference_distributions(field, s_max):
+    """dist(1) .. dist(s_max), each convolved from the last by FieldElement
+    addition over all q cubes, with no table or cache of the oracle's."""
+    cubes = [x ** 3 for x in field.elements()]
+    dist = {field.zero: 1}
+    for _ in range(s_max):
+        nxt = Counter()
+        for v, n in dist.items():
+            for c in cubes:
+                nxt[v + c] += n
+        dist = nxt
+        yield [dist[z] for z in field.elements()]
+
+
+class TestConvolutionChain:
+    """The cached chain dist(s) = dist(s - 1) * histogram against a
+    from-scratch reference, and the caps and copies around the cache."""
+
+    @pytest.mark.parametrize("p, k", [*verify.SUPPORTED_FIELDS.values(), *verify.TRIVIAL_FIELDS.values()])
+    def test_equals_reference_up_to_the_caps(self, p, k):
+        field = make_field(p, k)
+        assert field.q <= oracle.MAX_Q
+        oracle._distribution.cache_clear()
+        # largest s first: the chain must build every step below it
+        assert diagonal_count_vector(field, oracle.MAX_S)[0] > 0
+        y = field.g
+        balance = [int(-(y * x ** 3)) for x in field.elements()]  # x_s with N_{s-1}(-y * x_s^3)
+        previous = None
+        for s, expected in enumerate(_reference_distributions(field, oracle.MAX_S), start=1):
+            assert diagonal_count_vector(field, s) == expected, s
+            if previous is not None:
+                assert brute_twisted(field, s, y) == sum(previous[code] for code in balance), s
+            previous = expected
+
+    def test_returned_lists_are_copies(self, f13):
+        first = diagonal_count_vector(f13, 3)
+        expected = list(first)
+        first[0] += 1
+        first.append(0)
+        assert diagonal_count_vector(f13, 3) == expected
+        assert diagonal_count_vector(f13, 3) is not diagonal_count_vector(f13, 3)
+
+    def test_caps_hold_for_keys_cached_under_raised_caps(self, f7):
+        f131 = make_field(131)
+        y = f131.g
+        diagonal_count_vector(f131, 2, max_q=131)
+        brute_twisted(f131, 3, y, max_q=131)
+        diagonal_count_vector(f7, oracle.MAX_S + 1, max_s=oracle.MAX_S + 1)
+        with pytest.raises(ResourceError, match=r"q = 131, s = 2 exceeds the cap"):
+            diagonal_count_vector(f131, 2)
+        with pytest.raises(ResourceError, match=r"q = 131, s = 3 exceeds the cap"):
+            brute_twisted(f131, 3, y)
+        with pytest.raises(ResourceError, match=rf"q = 7, s = {oracle.MAX_S + 1} exceeds the cap"):
+            diagonal_count_vector(f7, oracle.MAX_S + 1)
 
 
 def test_oracle_imports_only_errors_and_fields():

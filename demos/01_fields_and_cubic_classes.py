@@ -25,7 +25,7 @@ print("norm(g) =", g.norm(), " trace(g) =", g.trace())
 print("\narithmetic in F_49 (elements are little-endian coefficient vectors):")
 a, b = f49.element([3, 2]), f49.element([1, 5])
 print(f"({a}) * ({b}) =", a * b)
-print(f"({a}) / ({b}) =", a / b)
+print(f"({a}) * ({b})^-1 =", a * b.inverse())
 print(f"({a}) ** 10**30 =", a ** 10 ** 30, " (exponents reduce mod q-1)")
 
 print("\n== cubic classes over F_7 (g = 3) ==")

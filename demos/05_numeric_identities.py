@@ -1,45 +1,50 @@
 #!/usr/bin/env python3
-"""Floating-point confirmations of the analytic identities.
+"""The analytic identities, checked exactly in Z[w][zeta_p].
 
-psi(x) = exp(2*pi*i*Tr(x)/p) is the canonical additive character and chi the
-cubic character.  These sums live on the unit circle; double precision is
-ample at desk scale, and every identity is checked far below its signal size.
+psi(x) = zeta_p^Tr(x) is the canonical additive character and chi the cubic
+character with chi(g) = w.  The Gauss sums G = G(chi, psi) and
+G-bar = G(conj(chi), psi), the Gaussian periods S_h = sum of psi(h*y^3) and
+the orthogonality sums are exact elements of Z[w][zeta_p], kept as p
+coordinates in Z[w]; an element is zero exactly when its coordinates are all
+equal, so each identity below is an integer equality, with no tolerance.
 """
-
-import math
 
 from diagcubic import cubic_data, make_field
 from diagcubic.eisenstein import jacobi_sum_cubic
-from diagcubic.oracle import (
-    conjugate_gauss_sum_numeric,
-    cubic_exp_sum_numeric,
-    gauss_sum_numeric,
-    jacobi_sum_numeric,
-    orthogonality_check,
-)
+from diagcubic.oracle import cubic_exp_sum, gauss_sum, orthogonality_sum
+
+
+def show(label: str, holds: bool) -> None:
+    print(f"  {label:<40} {'holds' if holds else 'FAILS'}")
+
 
 for p, k in ((7, 1), (31, 1), (7, 2), (2, 6)):
     field = make_field(p, k)
     data = cubic_data(field)
     q = field.q
-    print(f"== F_{q} ==")
-    g_sum = gauss_sum_numeric(field)
-    g_conj = conjugate_gauss_sum_numeric(field)
-    print(f"  |G| = {abs(g_sum):.12f}   sqrt(q) = {math.sqrt(q):.12f}")
-    print(f"  G * G-bar = {g_sum * g_conj:.6f}   (should be q = {q})")
-    print(f"  G^3 + G-bar^3 = {(g_sum ** 3 + g_conj ** 3).real:+.6f}{(g_sum ** 3 + g_conj ** 3).imag:+.2e}i"
-          f"   c*q = {data.c * q}")
-    print(f"  G^3/q = {g_sum ** 3 / q:.9f}")
-    print(f"  exact M = {data.gauss_cubed_over_q} = {data.gauss_cubed_over_q.to_complex():.9f}")
+    print(f"== F_{q}: c = {data.c}, M = G^3/q = {data.gauss_cubed_over_q} ==")
+    g_sum = gauss_sum(field)
+    g_conj = gauss_sum(field, 2)
+    if p <= 7:
+        print(f"  G as (a_j + b_j*w) at zeta^j, j = 0 .. {p - 1}:")
+        print("    " + ", ".join(f"{a}{b:+}*w" for a, b in zip(g_sum.a, g_sum.b)))
+    show("G * conj(G) = q", g_sum * g_sum.conjugate() == q)
+    show("G * G-bar = q", g_sum * g_conj == q)
+    g_cubed = g_sum * g_sum * g_sum
+    show(f"G^3 + G-bar^3 = c*q = {data.c * q}", g_cubed + g_conj * g_conj * g_conj == data.c * q)
+    show(f"G^3 = q*M = {q}*({data.gauss_cubed_over_q})", g_cubed == data.gauss_cubed_over_q * q)
 
     g = field.g
-    roots = [cubic_exp_sum_numeric(field, g ** i) for i in (1, 2, 3)]
-    print("  power sums S_g, S_g2, S_g3 (roots of x^3 - 3qx - qc):")
-    for s in roots:
-        print(f"    S = {s.real:+.9f}{s.imag:+.1e}i   residual {abs(s ** 3 - 3 * q * s - q * data.c):.2e}")
-    print(f"  S_g + S_g2 + S_g3 = {abs(sum(roots)):.2e}   (Vieta: no x^2 term)")
-    print(f"  orthogonality max error: {orthogonality_check(field).max_error:.2e}")
+    periods = [cubic_exp_sum(field, g ** i) for i in (1, 2, 3)]
+    if p <= 7:
+        print("  S_g, S_g2, S_g3 as integer coordinates at zeta^j:")
+        for s in periods:
+            print("    " + ", ".join(map(str, s.a)))
+    show("S^3 = 3q*S + q*c for all three", all(s * s * s == 3 * q * s + q * data.c for s in periods))
+    show("S_g + S_g2 + S_g3 = 0 (no x^2 term)", periods[0] + periods[1] + periods[2] == 0)
+    show("sum over a of psi(a*x) = q*[x = 0]",
+         all(orthogonality_sum(field, x) == (q if x.is_zero() else 0) for x in field.elements()))
     if k == 1:
-        exact = jacobi_sum_cubic(p, int(field.g)).to_complex()
-        print(f"  numeric G^2/G-bar = {jacobi_sum_numeric(field):.9f} vs exact J = {exact:.9f}")
+        j_sum = jacobi_sum_cubic(p, int(field.g))
+        show(f"G^2 = J * G-bar with J = {j_sum}", g_sum * g_sum == g_conj * j_sum)
     print()

@@ -25,13 +25,10 @@ J = (r1 + 3*r2)/2 + 3*r2*w.  Its witness, the direct O(p) sum above
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
 from .ntheory import cornacchia4, is_prime, prime_factors
-
-_SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
 class EisensteinInt(NamedTuple):
@@ -86,9 +83,6 @@ class EisensteinInt(NamedTuple):
     def imag_sign(self) -> int:
         """Sign of Im(a + b*w) = b*sqrt(3)/2: one of -1, 0, +1."""
         return (self.b > 0) - (self.b < 0)
-
-    def to_complex(self) -> complex:
-        return complex(self.a - self.b / 2.0, self.b * _SQRT3_2)
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+}*w"

@@ -153,11 +153,6 @@ class FieldElement:
         self._check_same_field(other)
         return FieldElement(self.field, self.field._mul_coeffs(self.coeffs, other.coeffs))
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, e: int) -> "FieldElement":
         if not isinstance(e, int):
             return NotImplemented
@@ -476,17 +471,3 @@ def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
         raise DomainError(f"element coefficients must lie in [0, {field.p})")
     return field.element(coeffs)
 
-
-def parse_field(text: str) -> FieldDescriptor:
-    """Parse the textual field form ``p^k/modulus-coeffs/g-coeffs``."""
-    parts = text.split("/")
-    if len(parts) != 3 or "^" not in parts[0]:
-        raise DomainError(f"bad field syntax {text!r}, expected p^k/modulus/generator")
-    try:
-        p_text, k_text = parts[0].split("^")
-        p, k = int(p_text), int(k_text)
-        modulus = tuple(int(c) for c in parts[1].split(","))
-        generator = tuple(int(c) for c in parts[2].split(","))
-    except ValueError as exc:
-        raise DomainError(f"bad field syntax {text!r}") from exc
-    return make_field(p, k, modulus, generator)

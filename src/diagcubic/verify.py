@@ -10,8 +10,8 @@ Groups of checks, mirroring how the library is meant to be trusted:
   read off the exact Gauss cube on every supported field, and a scan of all
   primes p = 1 (mod 3) up to 10^4 requires the Cornacchia and direct Jacobi
   sums to be equal;
-* numeric identities: double-precision character sums confirm the analytic
-  identities at stated tolerances;
+* numeric identities: the oracle's exact character sums in Z[w][zeta_p]
+  satisfy the analytic identities as integer equalities;
 * mod-4 sign rule: the classical criterion for 2 non-cubic agrees with the
   sign factor and with brute force for every applicable prime up to 200;
 * even-degree adjudication: at q = 49 the oracle decides between the exact
@@ -32,14 +32,13 @@ the Chowla-Cowles-Cowles mod-4 rule.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import counting, oracle
 from .constants import CubicData, cubic_data, delta
-from .eisenstein import EisensteinInt, _verify_generator_mod_p, jacobi_sum_cubic, r_pair
+from .eisenstein import EI_ONE, OMEGA, OMEGA2, EisensteinInt, _verify_generator_mod_p, jacobi_sum_cubic, r_pair
 from .errors import DomainError, IntegrityError, ResourceError
 from .fields import NONCUBIC_CLASSES, NONZERO_CLASSES, CubicClass, FieldDescriptor, make_field
 from .ntheory import is_prime, prime_factors, primes_up_to
@@ -389,56 +388,41 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
 
 
 def check_numeric_identities() -> list[Check]:
-    """Double-precision confirmations of the analytic identities, all fields."""
+    """The character-sum identities as exact equalities in Z[w][zeta_p], all
+    fields, each stated as its check's expected value: G = G(chi, psi),
+    G-bar = G(conj(chi), psi), M = G^3/q from cubic_data, J by Cornacchia."""
     checks = []
-    for q, (p, _) in SUPPORTED_FIELDS.items():
+    for q, (p, k) in SUPPORTED_FIELDS.items():
         field = supported_field(q)
         data = cubic_data(field)
-        sqrt_q = math.sqrt(q)
-        cubic_tol = 1e-5 * q ** 1.5
-        worst: dict[str, float] = {}
-
-        g_sum = oracle.gauss_sum_numeric(field)
-        g_conj = oracle.conjugate_gauss_sum_numeric(field)
-        worst["gauss-modulus"] = abs(abs(g_sum) - sqrt_q)
-        worst["gauss-product"] = abs(g_sum * g_conj - q)
-        worst["gauss-cubed-sum"] = abs(g_sum ** 3 + g_conj ** 3 - data.c * q)
-        worst["gauss-cubed-exact"] = abs(g_sum ** 3 / q - data.gauss_cubed_over_q.to_complex())
-
+        g_sum = oracle.gauss_sum(field)
+        g_conj = oracle.gauss_sum(field, 2)
+        g_squared = g_sum * g_sum
+        g_cubed = g_squared * g_sum
         g = field.g
-        s_values = [oracle.cubic_exp_sum_numeric(field, g ** i) for i in (1, 2, 3)]
-        worst["power-sum-cubic"] = max(abs(s ** 3 - 3 * q * s - q * data.c) for s in s_values)
-        worst["power-sum-total"] = abs(sum(s_values))
-        worst["power-sum-period"] = abs(oracle.cubic_exp_sum_numeric(field, g ** 4) - s_values[0])
-        worst["power-sum-decomposition"] = max(
-            abs(oracle.cubic_exp_sum_numeric(field, h) - (chi.conjugate() * g_sum + chi * g_conj))
-            for h in field.nonzero_elements()
-            for chi in (field.cubic_character(h).to_complex(),)
-        )
-        ortho = oracle.orthogonality_check(field)
-        worst["orthogonality"] = ortho.max_error
-        if field.k == 1:
-            j_exact = jacobi_sum_cubic(p, field.g.norm()).to_complex()
-            worst["jacobi-numeric"] = abs(oracle.jacobi_sum_numeric(field) - j_exact)
-
-        tolerances = {
-            "gauss-modulus": 1e-9 * sqrt_q,
-            "gauss-product": 1e-6 * q,
-            "gauss-cubed-sum": cubic_tol,
-            "gauss-cubed-exact": 1e-6 * sqrt_q,
-            "power-sum-cubic": cubic_tol,
-            "power-sum-total": 1e-6 * sqrt_q,
-            "power-sum-period": 1e-9,
-            "power-sum-decomposition": 1e-6 * sqrt_q,
-            "orthogonality": 1e-6,
-            "jacobi-numeric": 1e-6 * math.sqrt(p),
+        s_values = [oracle.cubic_exp_sum(field, g ** i) for i in (1, 2, 3)]
+        # the right side of the decomposition, once per value of chi
+        decomposed = {chi: g_sum * chi.conjugate() + g_conj * chi for chi in (EI_ONE, OMEGA, OMEGA2)}
+        cubic = all(s * s * s == 3 * q * s + q * data.c for s in s_values)
+        decomposition = all(oracle.cubic_exp_sum(field, h) == decomposed[field.cubic_character(h)]
+                            for h in field.nonzero_elements())
+        orthogonality = all(oracle.orthogonality_sum(field, x) == (q if x.is_zero() else 0) for x in field.elements())
+        identities = {  # name -> (the identity, whether it holds)
+            "gauss-modulus": ("G * conj(G) = q", g_sum * g_sum.conjugate() == q),
+            "gauss-product": ("G * G-bar = q", g_sum * g_conj == q),
+            "gauss-cubed-sum": ("G^3 + G-bar^3 = c*q", g_cubed + g_conj * g_conj * g_conj == data.c * q),
+            "gauss-cubed-exact": ("G^3 = q*M", g_cubed == data.gauss_cubed_over_q * q),
+            "power-sum-cubic": ("S^3 = 3q*S + q*c for S = S_g, S_g2, S_g3", cubic),
+            "power-sum-total": ("S_g + S_g2 + S_g3 = 0", s_values[0] + s_values[1] + s_values[2] == 0),
+            "power-sum-period": ("S_g4 = S_g", oracle.cubic_exp_sum(field, g ** 4) == s_values[0]),
+            "power-sum-decomposition": ("S_h = conj(chi(h))*G + chi(h)*G-bar for every nonzero h", decomposition),
+            "orthogonality": ("sum over a of psi(a*x) = q*[x = 0] for every x", orthogonality),
         }
-        for name, err in worst.items():
-            checks.append(Check(
-                f"numeric/{name}/q={q}",
-                "pass" if err <= tolerances[name] else "fail",
-                err, f"<= {tolerances[name]:.3g}", tolerances[name],
-            ))
+        if k == 1:
+            j_sum = jacobi_sum_cubic(p, field.g.norm())
+            identities["jacobi-numeric"] = ("G^2 = J * G-bar", g_squared == g_conj * j_sum)
+        for name, (identity, ok) in identities.items():
+            checks.append(_check(f"numeric/{name}/q={q}", ok, "holds" if ok else "fails", identity))
     return checks
 
 

@@ -116,10 +116,8 @@ class TestCountCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["result"]["value"] == 19
-        # the echoed query round-trips into a field descriptor
-        from diagcubic.fields import parse_field
-
-        assert parse_field(payload["query"]["field"]).q == 7
+        # the echoed query is the field's textual form
+        assert payload["query"]["field"] == make_field(7).to_string() == "7^1/0,1/3"
 
     def test_concrete_element(self, capsys):
         _, out = run_cli(capsys, "count", "--p", "7", "--s", "2", "--z", "6")

@@ -62,9 +62,9 @@ class TestRingArithmetic:
 
     @given(eis)
     def test_complex_embedding(self, x):
-        value = x.to_complex()
-        assert abs(abs(value) ** 2 - x.norm()) <= 1e-6 * max(1, x.norm())
-        assert ((value.imag > 0) - (value.imag < 0)) == x.imag_sign()
+        # a + b*w = (2a - b)/2 + b*sqrt(3)/2 * i: 4|x|^2 = (2a - b)^2 + 3b^2, sgn Im x = sgn b
+        assert x.real_doubled() ** 2 + 3 * x.b ** 2 == 4 * x.norm()
+        assert x.imag_sign() == (x.b > 0) - (x.b < 0)
 
     def test_str_form(self):
         assert str(EisensteinInt(5, 6)) == "5+6*w"

@@ -15,7 +15,7 @@ from diagcubic import (
 )
 from diagcubic import fields as fields_module
 from diagcubic import polynomials
-from diagcubic.fields import find_generator, find_irreducible, parse_element, parse_field
+from diagcubic.fields import find_generator, find_irreducible, parse_element
 from diagcubic.ntheory import prime_factors
 
 
@@ -251,8 +251,8 @@ class TestCubicCharacter:
 
 class TestSerialization:
     def test_field_round_trip(self, f49):
-        assert parse_field(f49.to_string()) == f49
         assert f49.to_string() == "7^2/1,0,1/2,1"
+        assert make_field(7, 2, modulus=(1, 0, 1), generator=(2, 1)) == f49
 
     def test_element_round_trip(self, f49):
         for z in f49.elements():
@@ -265,8 +265,6 @@ class TestSerialization:
             parse_element(f49, "1,x")
         with pytest.raises(DomainError):
             parse_element(f49, "1,9")  # coefficient out of range
-        with pytest.raises(DomainError):
-            parse_field("7^2/1,0,1")
 
     def test_element_int_encoding(self, f49):
         for n in range(f49.q):

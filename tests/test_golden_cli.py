@@ -5,8 +5,10 @@ stdout the CLI produced before the constants were computed in one place.  A
 refactor must reproduce every record exactly; a record changes only with an
 intended change of output.  The two inputs that crashed at recording time
 (a count over the int-to-str digit limit and constants at p ~ 10^12) are
-deliberately absent, and `verify` appears only as TSV because its JSON form
-carries floating-point errors.  The p ~ 10^12 constants call is answered
+deliberately absent.  `verify` was recorded only as TSV while its JSON form
+carried floating-point errors; since the character-sum identities became
+exact equalities every check's observed value is exact, and the JSON record
+was added with no other record changed.  The p ~ 10^12 constants call is answered
 since the Jacobi sum is found by Cornacchia (tests/test_cli.py pins its
 values); `test_refusal_unchanged` pins the exit code and error type of
 requests refused by a size cap (the message may be reworded).

@@ -53,29 +53,34 @@ def test_verify_import_skips_dataclasses():
     assert _loaded_after("import diagcubic.verify", ("dataclasses", "inspect")) == []
 
 
+def test_verify_loads_no_floating_point_math():
+    # the character-sum identities are exact, so neither the import nor a run loads cmath
+    assert _loaded_after("import diagcubic.verify", ("cmath",)) == []
+    run = "import diagcubic.verify; assert diagcubic.verify.full_report()['ok']"
+    assert _loaded_after(run, ("cmath",)) == []
+
+
 #: name -> the module it is imported from: the package root for the README's
 #: library API, the defining submodule for every other public name
 PUBLIC_NAMES = {
     **dict.fromkeys(diagcubic.__all__, "diagcubic"),
     "CubeHistogram": "diagcubic.oracle",
+    "CyclotomicInt": "diagcubic.oracle",
     "RPair": "diagcubic.eisenstein",
-    "brute_diagonal": "diagcubic.oracle",
     "brute_diagonal_naive": "diagcubic.oracle",
     "brute_twisted": "diagcubic.oracle",
     "cd_search": "diagcubic.verify",
     "cube_histogram": "diagcubic.oracle",
-    "cubic_exp_sum_numeric": "diagcubic.oracle",
+    "cubic_exp_sum": "diagcubic.oracle",
     "delta": "diagcubic.constants",
     "diagonal_count_vector": "diagcubic.oracle",
     "excess_seeds": "diagcubic.counting",
     "find_generator": "diagcubic.fields",
     "find_irreducible": "diagcubic.fields",
-    "gauss_sum_numeric": "diagcubic.oracle",
+    "gauss_sum": "diagcubic.oracle",
     "jacobi_sum_cubic": "diagcubic.eisenstein",
-    "jacobi_sum_numeric": "diagcubic.oracle",
-    "orthogonality_check": "diagcubic.oracle",
+    "orthogonality_sum": "diagcubic.oracle",
     "parse_element": "diagcubic.fields",
-    "parse_field": "diagcubic.fields",
     "r_pair": "diagcubic.eisenstein",
     "signed_d_mod4": "diagcubic.verify",
     "theta_sign_rule": "diagcubic.constants",

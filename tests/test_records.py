@@ -12,7 +12,7 @@ from diagcubic import (
     diagonal_series,
     make_field,
 )
-from diagcubic.oracle import CubeHistogram, OrthogonalityReport, cube_histogram, orthogonality_check
+from diagcubic.oracle import CubeHistogram, CyclotomicInt, cube_histogram, gauss_sum
 from diagcubic.verify import Check
 
 
@@ -26,7 +26,7 @@ RECORDS = {
     SeriesWindow: lambda: tuple(diagonal_series(_c7(), cls, 5) for cls in (CubicClass.C1, CubicClass.C1, CubicClass.C2)),
     EisensteinInt: lambda: (EisensteinInt(4, 6), EisensteinInt(4, 6), EisensteinInt(6, 4)),
     CubeHistogram: lambda: (cube_histogram(make_field(7)), cube_histogram(make_field(7)), cube_histogram(make_field(13))),
-    OrthogonalityReport: lambda: tuple(orthogonality_check(make_field(7), tol) for tol in (1e-6, 1e-6, 0.5)),
+    CyclotomicInt: lambda: (gauss_sum(make_field(7)), gauss_sum(make_field(7)), gauss_sum(make_field(7), 2)),
     Check: lambda: (Check("a", "pass", 1, 1), Check("a", "pass", 1, 1, None, ""), Check("a", "fail", 1, 2)),
 }
 

@@ -242,7 +242,7 @@ def cd_search(q: int, p: int) -> tuple[int, int]:
     return survivors[0]
 
 
-#: Largest p for the direct Jacobi sum, whose discrete-log table has p entries.
+#: Largest p for the direct Jacobi sum, whose table of cubes has p entries.
 _MAX_JACOBI_P = 10**7
 
 
@@ -250,16 +250,15 @@ def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
     """Cubic Jacobi sum over F_p by direct O(p) summation, with chi(gen) = w:
     the witness for :func:`jacobi_sum_cubic`, used by ``verify`` and the tests.
 
-    Builds the table ind(x) mod 3 of discrete logs of gen, then sums
-    chi(x) * chi(1 - x) over x in F_p minus {0, 1}: each pair {x, 1 - x} is
-    tallied once and counted twice, and the self-paired x = (p + 1)/2 once.
-    The one Python-level loop marks half the cubes gen^(3j), about (p - 1)/6
-    products; -1 is a cube (p = 1 mod 6), so the reflection x -> p - x gives
-    the rest.  The class of the least non-cube k, read off Euler's criterion,
-    is k times the cubes: k strided slice copies.  A few tables of p bytes are
-    alive at once.  The result is checked to have norm p and w-coefficient
-    divisible by 3 before it is returned.
-    p above ``_MAX_JACOBI_P`` is refused with a ResourceError before any work.
+    As -1 is a cube, J sums chi(x) * chi(x - 1) over x = 2 .. p - 1, and
+    x -> p + 1 - x keeps the classes of the pair, so ind mod 3 on [1, h],
+    h = (p - 1)/2, suffices: x = 2 .. h count twice, x = h + 1 = -h once.  The
+    one Python loop marks half the cubes, (p - 1)/6 products; x <= h is a cube
+    iff x or p - x is marked.  The class of the least non-cube k is k times the
+    cubes, about k strided slices.  With a class's x at bit 8x of an int, the
+    cyclotomic numbers #{x : ind(x) = a, ind(x - 1) = b} are popcounts of
+    class_a & class_b << 8.  The result must have norm p and w-coefficient
+    divisible by 3; p above ``_MAX_JACOBI_P`` is refused before any work.
     """
     if p > _MAX_JACOBI_P:
         raise ResourceError(
@@ -271,48 +270,46 @@ def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
     if p % 3 != 1:
         raise DomainError(f"no cubic character mod {p}: p = {p % 3} (mod 3)")
     _verify_generator_mod_p(gen, p)
+    return _jacobi_sum_direct(p, gen)
 
-    # cube[x] = 1 iff x is a nonzero cube: gen^(3j) for j < n/2, n = (p - 1)/3,
-    # then their negatives gen^(3j + 3n/2), OR-ed in as the reversed table
-    n = (p - 1) // 3
+
+def _jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
+    """:func:`jacobi_sum_direct` with p and gen already proved, as the scan has them."""
+    # cube[x] = 1 on gen^(3j), j < n/2, and the other cubes are their negatives:
+    # c0, the cubes x <= h at bit 8x, ORs in cube[p - 1 .. h + 1] read big-endian
+    n, h = (p - 1) // 3, (p - 1) // 2
     cube = bytearray(p)
     gen3 = pow(gen, 3, p)
     x = 1
     for _ in range(n // 2):
         cube[x] = 1
         x = x * gen3 % p
-    cube[1:] = (
-        int.from_bytes(cube[1:], "little") | int.from_bytes(cube[:0:-1], "little")
-    ).to_bytes(p - 1, "little")
+    view = memoryview(cube)
+    c0 = int.from_bytes(view[:h + 1], "little") | int.from_bytes(view[h + 1:], "big") << 8
+    del view, cube  # at p near the cap the table is about 10 MB
+    half = c0.to_bytes(h + 1, "little")
 
-    # moved[k*x mod p] = cube[x] marks class e of the least non-cube k: for
-    # each j < k, the x in [ceil(j*p/k), ceil((j+1)*p/k)) go to the stride-k
-    # run k*x - j*p
-    k = cube.index(0, 1)
+    # moved marks class e = k * cubes on [1, h]: y = k*x - j*p rises by k for x
+    # in [lo, mid), then -y = (j + 1)*p - k*x falls by k for x in [mid, hi)
+    k = half.index(0, 1)
     e = 1 if pow(k, n, p) == pow(gen, n, p) else 2
-    moved = bytearray(p)
-    for j in range(k):
-        lo, hi = -(-j * p // k), -(-(j + 1) * p // k)
-        moved[k * lo - j * p::k] = cube[lo:hi]
-    # cube + 2*moved is 1 on cubes, 2 on class e and 0 on the third class
-    total = int.from_bytes(cube, "little") + 2 * int.from_bytes(moved, "little")
-    del cube, moved  # free each table once used: at p near the cap each is about 10 MB
-    index = total.to_bytes(p, "little").translate(bytes.maketrans(b"\0\1\2", bytes((3 - e, 0, e))))
-    del total
+    moved = bytearray(h + 1)
+    for j in range((k + 1) // 2):
+        lo, mid, hi = -(-j * p // k), min((j * p + h) // k + 1, h + 1), min(-(-(j + 1) * p // k), h + 1)
+        a, b = k * lo - j * p, (j + 1) * p - k * (hi - 1)
+        moved[a:a + k * (mid - lo):k] = half[lo:mid]
+        moved[b:b + k * (hi - mid):k] = half[hi - 1:mid - 1:-1]
+    bits = [c0, 0, 0]  # bits[i] holds the x in [1, h] with ind(x) = i (mod 3) at bit 8x
+    bits[e] = int.from_bytes(moved, "little")
+    bits[3 - e] = int.from_bytes(b"\1" * h, "little") << 8 ^ c0 ^ bits[e]
+    ind_h = 0 if half[h] else e if moved[h] else 3 - e
+    del half, moved
 
-    # chi(x) * chi(1-x) = w^(ind(x) + ind(1-x)); tally the three powers of w.
-    # x and 1 - x = p + 1 - x give the same term, so the pairs with
-    # x = 2 .. m - 1, m = (p + 1)/2, are tallied once and counted twice; their
-    # partners p - 1 .. m + 1 are the top of the table reversed.  Adding the
-    # two byte strings as integers adds them bytewise, since no byte sum
-    # exceeds 4.  The middle point m = 1 - m is its own partner.
-    m = (p + 1) // 2
-    total = int.from_bytes(index[2:m], "little") + int.from_bytes(index[:m:-1], "little")
-    sums = total.to_bytes(m - 2, "little")
-    tally = [0, 2 * (sums.count(1) + sums.count(4)), 2 * sums.count(2)]
-    tally[2 * index[m] % 3] += 1
-    del index
-    n1, n2 = tally[1], tally[2]
+    # n_t sums the cyclotomic numbers with a + b = t (mod 3), as one OR since x
+    # lies in one class; each x <= h counts twice, x = h + 1 once
+    prev = [c << 8 for c in bits]
+    n1, n2 = (2 * (bits[0] & prev[t] | bits[1] & prev[t - 1] | bits[2] & prev[t - 2]).bit_count()
+              + (2 * ind_h % 3 == t) for t in (1, 2))
     n0 = (p - 2) - n1 - n2
     # n0 + n1*w + n2*w^2 with w^2 = -1 - w
     j_sum = EisensteinInt(n0 - n2, n1 - n2)
@@ -337,6 +334,8 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
     sum, which has norm p, w-coefficient divisible by 3, and (r1, r2)
     satisfying the defining congruence with the r2 sign uniquely selected
     by it."""
+    if jacobi_bound > _MAX_JACOBI_P:
+        raise ResourceError(f"a Jacobi scan to {jacobi_bound} needs direct sums above the cap of p <= {_MAX_JACOBI_P}")
     checks = []
     for q, (p, k) in SUPPORTED_FIELDS.items():
         field = supported_field(q)
@@ -362,7 +361,7 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
         if p % 3 != 1:
             continue
         gen = _least_primitive_root(p)
-        j_sum = jacobi_sum_direct(p, gen)  # asserts norm and divisibility
+        j_sum = _jacobi_sum_direct(p, gen)  # p is sieved, gen proved; asserts norm and divisibility
         j_fast = jacobi_sum_cubic(p, gen)
         if j_fast != j_sum:
             failures.append((p, f"Cornacchia route gives {j_fast}, direct sum gives {j_sum}"))
@@ -402,9 +401,10 @@ def check_numeric_identities() -> list[Check]:
         g = field.g
         s_values = [oracle.cubic_exp_sum(field, g ** i) for i in (1, 2, 3)]
         # the right side of the decomposition, once per value of chi
-        decomposed = {chi: g_sum * chi.conjugate() + g_conj * chi for chi in (EI_ONE, OMEGA, OMEGA2)}
+        decomposed = [g_sum * chi.conjugate() + g_conj * chi for chi in (EI_ONE, OMEGA, OMEGA2)]
+        log = oracle._tables(field).log  # chi(h) = w^(log h), as chi(g) = w
         cubic = all(s * s * s == 3 * q * s + q * data.c for s in s_values)
-        decomposition = all(oracle.cubic_exp_sum(field, h) == decomposed[field.cubic_character(h)]
+        decomposition = all(oracle.cubic_exp_sum(field, h) == decomposed[log[int(h)] % 3]
                             for h in field.nonzero_elements())
         orthogonality = all(oracle.orthogonality_sum(field, x) == (q if x.is_zero() else 0) for x in field.elements())
         identities = {  # name -> (the identity, whether it holds)

@@ -192,6 +192,29 @@ class TestCornacchiaRoute:
         assert "Cornacchia route gives -1-6*w" in message and "direct sum gives 5+6*w" in message
 
 
+def test_jacobi_scan_retests_no_prime(monkeypatch):
+    # primes_up_to sieved p and _least_primitive_root proved gen: the scan
+    # calls the witness's core, which tests neither again
+    calls = []
+    monkeypatch.setattr(verify, "is_prime", lambda n: calls.append(n) or True)
+    scan = [c for c in verify.check_constants_integrity(jacobi_bound=1000) if c.name == "jacobi-scan"][0]
+    assert scan.status == "pass" and scan.observed == "80 primes verified"
+    assert calls == []
+
+
+def test_jacobi_bound_above_the_cap_refused_before_the_sieve(monkeypatch):
+    sieved = []
+    monkeypatch.setattr(verify, "primes_up_to", lambda n: sieved.append(n) or [])
+    with pytest.raises(ResourceError) as refused:
+        verify.check_constants_integrity(jacobi_bound=2 * 10**7)
+    assert str(refused.value) == (
+        "a Jacobi scan to 20000000 needs direct sums above the cap of p <= 10000000"
+    )
+    assert sieved == []
+    verify.check_constants_integrity(jacobi_bound=10**7)  # the cap itself reaches the sieve
+    assert sieved == [10**7]
+
+
 def _jacobi_sum_walk(p, gen):
     """The direct sum by the full generator walk it had before the half walk:
     ind(x) mod 3 for x = gen^j, three steps at a time, then the bytewise tally."""
@@ -272,6 +295,84 @@ class TestHalfWalk:
         p = 9_999_991
         gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
         assert jacobi_sum_direct(p, gen) == jacobi_sum_cubic(p, gen)
+
+
+def _jacobi_sum_bytes(p, gen):
+    """The direct sum by the byte tally it had before the bitset tally: the
+    whole table of ind(x) mod 3 over F_p, each pair {x, 1 - x} tallied once."""
+    # cube[x] = 1 iff x is a nonzero cube: gen^(3j) for j < n/2, n = (p - 1)/3,
+    # then their negatives gen^(3j + 3n/2), OR-ed in as the reversed table
+    n = (p - 1) // 3
+    cube = bytearray(p)
+    gen3 = pow(gen, 3, p)
+    x = 1
+    for _ in range(n // 2):
+        cube[x] = 1
+        x = x * gen3 % p
+    cube[1:] = (
+        int.from_bytes(cube[1:], "little") | int.from_bytes(cube[:0:-1], "little")
+    ).to_bytes(p - 1, "little")
+
+    # moved[k*x mod p] = cube[x] marks class e of the least non-cube k: for
+    # each j < k, the x in [ceil(j*p/k), ceil((j+1)*p/k)) go to the stride-k
+    # run k*x - j*p
+    k = cube.index(0, 1)
+    e = 1 if pow(k, n, p) == pow(gen, n, p) else 2
+    moved = bytearray(p)
+    for j in range(k):
+        lo, hi = -(-j * p // k), -(-(j + 1) * p // k)
+        moved[k * lo - j * p::k] = cube[lo:hi]
+    # cube + 2*moved is 1 on cubes, 2 on class e and 0 on the third class
+    total = int.from_bytes(cube, "little") + 2 * int.from_bytes(moved, "little")
+    del cube, moved  # free each table once used: at p near the cap each is about 10 MB
+    index = total.to_bytes(p, "little").translate(bytes.maketrans(b"\0\1\2", bytes((3 - e, 0, e))))
+    del total
+
+    # chi(x) * chi(1-x) = w^(ind(x) + ind(1-x)); tally the three powers of w.
+    # x and 1 - x = p + 1 - x give the same term, so the pairs with
+    # x = 2 .. m - 1, m = (p + 1)/2, are tallied once and counted twice; their
+    # partners p - 1 .. m + 1 are the top of the table reversed.  Adding the
+    # two byte strings as integers adds them bytewise, since no byte sum
+    # exceeds 4.  The middle point m = 1 - m is its own partner.
+    m = (p + 1) // 2
+    total = int.from_bytes(index[2:m], "little") + int.from_bytes(index[:m:-1], "little")
+    sums = total.to_bytes(m - 2, "little")
+    tally = [0, 2 * (sums.count(1) + sums.count(4)), 2 * sums.count(2)]
+    tally[2 * index[m] % 3] += 1
+    del index
+    n1, n2 = tally[1], tally[2]
+    n0 = (p - 2) - n1 - n2
+    # n0 + n1*w + n2*w^2 with w^2 = -1 - w
+    j_sum = EisensteinInt(n0 - n2, n1 - n2)
+    return j_sum
+
+
+class TestBitsetTally:
+    """The folded bitset tally of jacobi_sum_direct against the byte tally it
+    replaced."""
+
+    def test_equals_byte_tally_below_2e4(self):
+        scanned = 0
+        for p in primes_up_to(20_000):
+            if p % 3 != 1:
+                continue
+            gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+            for g in (gen, _other_coset_generator(p, gen)):
+                assert jacobi_sum_direct(p, g) == _jacobi_sum_bytes(p, g), (p, g)
+            scanned += 1
+        assert scanned == 1124
+
+    @pytest.mark.parametrize("p, k", [(7, 2), (31, 3), (307, 5), (643, 7), (5113, 11)])
+    def test_least_non_cube(self, p, k):
+        # k strided slices fold class e into [1, (p - 1)/2], rising then falling
+        assert next(x for x in range(2, p) if pow(x, (p - 1) // 3, p) != 1) == k
+        for g in [g for g in range(2, p) if _is_primitive_root(g, p)][:20]:
+            assert jacobi_sum_direct(p, g) == _jacobi_sum_bytes(p, g), (p, g)
+
+    def test_near_the_cap(self):
+        p = 9_999_991
+        gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+        assert jacobi_sum_direct(p, gen) == _jacobi_sum_bytes(p, gen)
 
 
 class TestDirectSumDefinition:

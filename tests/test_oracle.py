@@ -10,6 +10,7 @@ from diagcubic import (
     CubicClass,
     DomainError,
     EisensteinInt,
+    FieldDescriptor,
     IntegrityError,
     ResourceError,
     cubic_data,
@@ -422,6 +423,16 @@ def test_full_report_builds_each_table_once(monkeypatch):
     info = cached.cache_info()
     assert info.misses == len(touched) == info.currsize
     assert info.hits > 0
+
+
+def test_numeric_identities_read_chi_off_the_log_table(monkeypatch):
+    # chi(h) = w^(log h mod 3) from oracle._tables, with no field power per h
+    calls = []
+    real = FieldDescriptor.cube_class
+    monkeypatch.setattr(FieldDescriptor, "cube_class", lambda self, z: calls.append(z) or real(self, z))
+    checks = verify.check_numeric_identities()
+    assert all(c.status == "pass" for c in checks)
+    assert calls == []
 
 
 def test_full_report_convolves_each_distribution_once(monkeypatch):

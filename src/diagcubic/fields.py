@@ -2,7 +2,8 @@
 
 Elements are coefficient vectors of length k in the power basis of a monic
 irreducible modulus, little-endian (constant term first), entries in [0, p).
-The prime field is the degenerate case k = 1 with modulus t.
+The prime field is the degenerate case k = 1 with modulus t.  Products and
+powers mod the modulus, Ben-Or's too, run on :func:`_mul_mod` and :func:`_pow_mod`.
 
 Construction is canonical and reproducible: the default modulus is the
 smallest monic irreducible polynomial of degree k, and the default generator
@@ -61,6 +62,39 @@ _CHARACTER_VALUE = {
 #: Largest number of candidates the generator search may test.  Generators
 #: make up phi(q - 1)/(q - 1) of the units, so the search ends after a few.
 _MAX_GENERATOR_CANDIDATES = 10**4
+
+
+# ---------------------------------------------------------------------------
+# the product and the power mod f
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
+    """a * b mod f over F_p, for a, b of length k = deg f, f monic; put a sparse factor first."""
+    k = len(f) - 1
+    prod = [0] * (2 * k - 1)
+    top = k - 1  # prod has no nonzero term above x^top
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+            top = i + k - 1
+    for i in range(top, k - 1, -1):  # subtract c * x^(i - k) * f, which clears x^i
+        c = prod[i] % p
+        if c:
+            for j, fj in enumerate(f, i - k):
+                prod[j] -= c * fj
+    return tuple([c % p for c in prod[:k]])
+
+
+def _pow_mod(base: tuple[int, ...], e: int, f: Sequence[int], p: int) -> tuple[int, ...]:
+    """base^e mod f over F_p for e >= 0 and f monic of degree k >= 2, left to right:
+    e.bit_length() - 1 squarings and a product by base for each further 1 bit."""
+    result = base if e else (1,) + (0,) * (len(f) - 2)  # base^0 is one
+    for bit in bin(e)[3:]:
+        result = _mul_mod(result, result, f, p)
+        if bit == "1":
+            result = _mul_mod(base, result, f, p)  # base first: times x is one row
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +201,7 @@ class FieldElement:
         e %= field.q - 1
         if field.k == 1:
             return FieldElement(field, (pow(self.coeffs[0], e, field.p),))
-        result = field.one.coeffs
-        base = self.coeffs
-        while e:
-            if e & 1:
-                result = field._mul_coeffs(result, base)
-            base = field._mul_coeffs(base, base)
-            e >>= 1
-        return FieldElement(field, result)
+        return FieldElement(field, _pow_mod(self.coeffs, e, field.modulus, field.p))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -240,7 +267,7 @@ class FieldDescriptor:
     Use :func:`make_field` rather than calling this constructor directly.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "g", "_sig", "_red_rows", "_cube_roots")
+    __slots__ = ("p", "k", "q", "modulus", "g", "_sig", "_cube_roots")
 
     def __init__(
         self, p: int, k: int, modulus: tuple[int, ...] | None, generator: tuple[int, ...] | None
@@ -271,16 +298,6 @@ class FieldDescriptor:
         self.q = p ** k  # after the modulus checks, which bound k by the modulus length or the cost cap
         self.modulus = tuple(modulus)
         self._sig = (p, k, self.modulus)
-
-        # t^j mod modulus for j = k .. 2k-2, consumed by _mul_coeffs
-        rows = []
-        row = tuple(-modulus[i] % p for i in range(k))
-        for _ in range(k, 2 * k - 1):
-            rows.append(row)
-            shifted = (0,) + row[: k - 1]
-            lead = row[k - 1]
-            row = tuple((shifted[i] + lead * rows[0][i]) % p for i in range(k))
-        self._red_rows = tuple(rows)
 
         if generator is None:
             g = find_generator(self)
@@ -336,22 +353,9 @@ class FieldDescriptor:
     # -- arithmetic kernel ----------------------------------------------------
 
     def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p, k = self.p, self.k
-        if k == 1:
-            return (a[0] * b[0] % p,)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = prod[:k]
-        for j in range(k, 2 * k - 1):
-            c = prod[j] % p
-            if c:
-                row = self._red_rows[j - k]
-                for i in range(k):
-                    out[i] += c * row[i]
-        return tuple(c % p for c in out)
+        if self.k == 1:
+            return (a[0] * b[0] % self.p,)
+        return _mul_mod(a, b, self.modulus, self.p)
 
     def _has_full_order(self, x: FieldElement) -> bool:
         if x.is_zero():

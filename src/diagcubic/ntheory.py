@@ -65,7 +65,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a Jacobi scan to 10^4 factors 611 values of p - 1
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n >= 1, ascending.
 

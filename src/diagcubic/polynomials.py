@@ -4,8 +4,9 @@ Polynomials are little-endian coefficient sequences (constant term first)
 with entries in [0, p).  :func:`is_irreducible` decides whether a monic f of
 degree k is irreducible in about k^2 * (k + log2 p) coefficient operations
 (Ben-Or, FOCS 1981; Shoup, *A Computational Introduction to Number Theory
-and Algebra*, ch. 20).  :mod:`diagcubic.fields` imports this module only
-when it builds an extension field, so a prime-field call never loads it.
+and Algebra*, ch. 20), on the one product and power mod f of the fields.
+:mod:`diagcubic.fields` imports this module only when it builds an
+extension field, so a prime-field call never loads it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ResourceError
+from .fields import _mul_mod, _pow_mod
 
 #: Largest cost the irreducibility tests of one field may take, in the units
 #: of :func:`irreducibility_cost`, about k^2 * (k + log2 p) coefficient
@@ -42,37 +44,6 @@ def _is_coprime(a: Sequence[int], b: Sequence[int], p: int) -> bool:
                     a[j] -= c * bj
         a, b = b, _trim([c % p for c in a[:db]])
     return len(a) == 1
-
-
-def _mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    """a * b mod f over F_p, for a and b of length k = deg f and f monic."""
-    k = len(f) - 1
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                prod[j] += ai * bj
-    low = f[:k]
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j, fj in enumerate(low, i - k):
-                prod[j] -= c * fj
-    return [c % p for c in prod[:k]]
-
-
-def _x_pow_mod(e: int, f: Sequence[int], p: int) -> list[int]:
-    """x^e mod f over F_p by square-and-multiply, for e >= 1 and f monic of
-    degree >= 2.  Takes e.bit_length() - 1 squarings and one step "times x"
-    for each further 1 bit of e."""
-    k = len(f) - 1
-    result = [0, 1] + [0] * (k - 2)
-    for bit in bin(e)[3:]:
-        result = _mul_mod(result, result, f, p)
-        if bit == "1":  # times x: shift up, then fold the x^k term back
-            top = result[-1]
-            result = [((result[i - 1] if i else 0) - top * f[i]) % p for i in range(k)]
-    return result
 
 
 def irreducibility_cost(p: int, k: int) -> int:
@@ -120,7 +91,7 @@ def ben_or(f: Sequence[int], p: int) -> tuple[bool, int]:
         return k == 1, 0
     if f[0] == 0:
         return False, 0  # x divides f
-    frob = h = _x_pow_mod(p, f, p)
+    frob = h = _pow_mod((0, 1) + (0,) * (k - 2), p, f, p)  # x^p mod f
     steps = p.bit_length() + bin(p).count("1") - 2
     table = None
     for i in range(1, k // 2 + 1):

@@ -72,15 +72,14 @@ class Check(NamedTuple):
     status: str  # "pass" | "fail" | "warn"
     observed: object
     expected: object
-    tolerance: float | None = None
     detail: str = ""
 
     def to_dict(self) -> dict:
         return self._asdict()
 
 
-def _check(name: str, ok: bool, observed, expected, tolerance=None, detail="") -> Check:
-    return Check(name, "pass" if ok else "fail", observed, expected, tolerance, detail)
+def _check(name: str, ok: bool, observed, expected, detail="") -> Check:
+    return Check(name, "pass" if ok else "fail", observed, expected, detail)
 
 
 def _max_s(q: int) -> int:
@@ -322,8 +321,9 @@ def _jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
 
 
 def _least_primitive_root(p: int) -> int:
+    factors = prime_factors(p - 1)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in prime_factors(p - 1)):
+        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
             return g
     raise AssertionError(f"no primitive root mod {p}")
 

@@ -202,6 +202,17 @@ def test_jacobi_scan_retests_no_prime(monkeypatch):
     assert calls == []
 
 
+def test_jacobi_scan_factors_each_p_minus_1_once(monkeypatch):
+    # _least_primitive_root factors p - 1 before its candidate loop, not
+    # once per candidate g
+    factored = []
+    original = verify.prime_factors
+    monkeypatch.setattr(verify, "prime_factors", lambda n: factored.append(n) or original(n))
+    scan = [c for c in verify.check_constants_integrity() if c.name == "jacobi-scan"][0]
+    assert scan.status == "pass" and scan.observed == "611 primes verified"
+    assert len(factored) == 611 and factored == sorted(set(factored))
+
+
 def test_jacobi_bound_above_the_cap_refused_before_the_sieve(monkeypatch):
     sieved = []
     monkeypatch.setattr(verify, "primes_up_to", lambda n: sieved.append(n) or [])

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -117,30 +118,119 @@ class TestArithmetic:
             assert a * a.inverse() == field.one
 
 
+def _reduction_rows_product(p, k, modulus):
+    """The product of coefficient tuples that fields ran before
+    fields._mul_mod, copied: the constructor's table of t^j mod modulus for
+    j = k .. 2k-2, and the body of FieldDescriptor._mul_coeffs that read it."""
+    rows = []
+    row = tuple(-modulus[i] % p for i in range(k))
+    for _ in range(k, 2 * k - 1):
+        rows.append(row)
+        shifted = (0,) + row[: k - 1]
+        lead = row[k - 1]
+        row = tuple((shifted[i] + lead * rows[0][i]) % p for i in range(k))
+    red_rows = tuple(rows)
+
+    def mul_coeffs(a, b):
+        if k == 1:
+            return (a[0] * b[0] % p,)
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        out = prod[:k]
+        for j in range(k, 2 * k - 1):
+            c = prod[j] % p
+            if c:
+                row = red_rows[j - k]
+                for i in range(k):
+                    out[i] += c * row[i]
+        return tuple(c % p for c in out)
+
+    return mul_coeffs
+
+
+def _x_pow_mod(e, f, p):
+    """x^e mod f by the loop Ben-Or's test ran before fields._pow_mod,
+    copied, with its squarings done by the reduction-rows product."""
+    k = len(f) - 1
+    mul = _reduction_rows_product(p, k, f)
+    result = [0, 1] + [0] * (k - 2)
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":  # times x: shift up, then fold the x^k term back
+            top = result[-1]
+            result = [((result[i - 1] if i else 0) - top * f[i]) % p for i in range(k)]
+    return tuple(result)
+
+
+class TestKernelsAgainstReplacedRoutes:
+    """fields._mul_mod and fields._pow_mod against the routes they replaced."""
+
+    SMALL_EXTENSIONS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p ** k <= 256]
+
+    @pytest.mark.parametrize("p, k", SMALL_EXTENSIONS)
+    def test_product_on_every_pair(self, p, k):
+        field = make_field(p, k)
+        reference = _reduction_rows_product(p, k, field.modulus)
+        elements = [x.coeffs for x in field.elements()]
+        for a in elements:
+            for b in elements:
+                assert fields_module._mul_mod(a, b, field.modulus, p) == reference(a, b), (a, b)
+
+    @pytest.mark.parametrize("p, k", [(101, 6), (2, 12), (7, 12)])
+    def test_product_on_random_pairs(self, p, k):
+        field = make_field(p, k)
+        reference = _reduction_rows_product(p, k, field.modulus)
+        rng = random.Random(p * 100 + k)
+        for _ in range(2000):
+            a, b = (tuple(rng.randrange(p) for _ in range(k)) for _ in range(2))
+            assert fields_module._mul_mod(a, b, field.modulus, p) == reference(a, b), (a, b)
+
+    @pytest.mark.parametrize("p, k", [(2, 40), (13, 13), (7, 12)])
+    def test_x_to_the_p_on_every_scanned_candidate(self, p, k):
+        modulus = find_irreducible(p, k)
+        x = (0, 1) + (0,) * (k - 2)
+        tested = 0
+        for f in _monic_polys(p, k):
+            assert fields_module._pow_mod(x, p, f, p) == _x_pow_mod(p, f, p), f
+            tested += 1
+            if f == modulus:
+                break
+        assert tested == {(2, 40): 58, (13, 13): 158, (7, 12): 59}[p, k]
+
+
 def _pow_by_squaring(x, e):
     """x ** e for a unit x by the square-and-multiply loop that prime fields
-    ran before they used builtin pow: the exponent reduced mod q - 1, then
-    products of coefficient tuples."""
+    ran before they used builtin pow, and extension fields before
+    fields._pow_mod: the exponent reduced mod q - 1, then products of
+    coefficient tuples by the reduction-rows product."""
     field = x.field
+    mul = _reduction_rows_product(field.p, field.k, field.modulus)
     e %= field.q - 1
     result, base = field.one.coeffs, x.coeffs
     while e:
         if e & 1:
-            result = field._mul_coeffs(result, base)
-        base = field._mul_coeffs(base, base)
+            result = mul(result, base)
+        base = mul(base, base)
         e >>= 1
     return fields_module.FieldElement(field, result)
 
 
 class TestPrimeFieldPow:
-    """Builtin pow on prime fields against the square-and-multiply loop."""
+    """Builtin pow on prime fields, and fields._pow_mod on extension fields,
+    against the square-and-multiply loop."""
 
-    @pytest.mark.parametrize("p, codes", [
+    #: q -> (p, k)
+    FIELDS = {7: (7, 1), 31: (31, 1), 9973: (9973, 1), 49: (7, 2), 64: (2, 6), 28561: (13, 4)}
+
+    @pytest.mark.parametrize("q, codes", [
         (7, range(1, 7)), (31, range(1, 31)), (9973, [*range(1, 9973, 97), 9971, 9972]),
+        (49, range(1, 49)), (64, range(1, 64)), (28561, [*range(1, 28561, 97), 28559, 28560]),
     ])
-    def test_units_match_the_loop(self, p, codes):
-        field = make_field(p)
-        q = field.q
+    def test_units_match_the_loop(self, q, codes):
+        field = make_field(*self.FIELDS[q])
         for code in codes:
             x = field.element_from_int(code)
             for e in (0, 1, -1, q - 2, q - 1, q, 10 ** 30 + 7, -10 ** 30):

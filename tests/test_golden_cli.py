@@ -16,7 +16,10 @@ requests refused by a size cap (the message may be reworded).
 windows, recorded before the series walk carried its power of q along.  The
 F_13^4 window and the nine records with the theta-parity warning were
 re-recorded when that warning's hint was reworded; their counts are
-unchanged.
+unchanged.  `verify`, `reproduce-example` and `reproduce-example
+--theta-source paper` were re-recorded when the check records lost their
+`tolerance` key, which read null on every check once the identities became
+exact; dropping that key from the old records gives the new ones.
 """
 
 import hashlib

@@ -134,6 +134,14 @@ def test_second_theta_route_deleted():
     assert "excess_at" not in counting and "_seeds" not in counting
 
 
+def test_second_field_kernel_deleted():
+    fields = importlib.import_module("diagcubic.fields")
+    polynomials = importlib.import_module("diagcubic.polynomials")
+    assert "_red_rows" not in fields.FieldDescriptor.__slots__
+    assert polynomials._mul_mod is fields._mul_mod and polynomials._pow_mod is fields._pow_mod
+    assert not hasattr(polynomials, "_x_pow_mod")
+
+
 def test_star_import():
     namespace = {}
     exec("from diagcubic import *", namespace)

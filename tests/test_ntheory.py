@@ -107,6 +107,11 @@ class TestPrimeFactors:
         # the cofactor 2^61 - 1 is prime: no trial division up to its square root
         assert prime_factors(6 * (2**61 - 1)) == (2, 3, 2**61 - 1)
 
+    def test_memo_is_bounded(self):
+        # finite for a long-lived process, and large enough to keep the 611
+        # values of p - 1 of a Jacobi scan to 10^4 from one report to the next
+        assert 611 <= prime_factors.cache_info().maxsize < 10**4
+
     def test_refuses_composite_cofactor_beyond_bound(self, monkeypatch):
         with pytest.raises(ResourceError):
             prime_factors(2 * 1000003 * 1000033)

@@ -27,7 +27,7 @@ RECORDS = {
     EisensteinInt: lambda: (EisensteinInt(4, 6), EisensteinInt(4, 6), EisensteinInt(6, 4)),
     CubeHistogram: lambda: (cube_histogram(make_field(7)), cube_histogram(make_field(7)), cube_histogram(make_field(13))),
     CyclotomicInt: lambda: (gauss_sum(make_field(7)), gauss_sum(make_field(7)), gauss_sum(make_field(7), 2)),
-    Check: lambda: (Check("a", "pass", 1, 1), Check("a", "pass", 1, 1, None, ""), Check("a", "fail", 1, 2)),
+    Check: lambda: (Check("a", "pass", 1, 1), Check("a", "pass", 1, 1, ""), Check("a", "fail", 1, 2)),
 }
 
 
@@ -55,13 +55,13 @@ class TestRecordSemantics:
 
 
 def test_check_to_dict_key_order():
-    check = Check("example/c", "pass", {"closed": 4, "brute": 4}, 4, 1e-9, "detail")
-    assert list(check.to_dict()) == ["name", "status", "observed", "expected", "tolerance", "detail"]
+    check = Check("example/c", "pass", {"closed": 4, "brute": 4}, 4, "detail")
+    assert list(check.to_dict()) == ["name", "status", "observed", "expected", "detail"]
     assert check.to_dict() == {
         "name": "example/c", "status": "pass", "observed": {"closed": 4, "brute": 4},
-        "expected": 4, "tolerance": 1e-9, "detail": "detail",
+        "expected": 4, "detail": "detail",
     }
-    assert list(Check("x", "warn", 0, 0).to_dict().values())[-2:] == [None, ""]
+    assert Check("x", "warn", 0, 0).to_dict()["detail"] == ""
 
 
 def test_eisenstein_repr():

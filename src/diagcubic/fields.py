@@ -101,9 +101,10 @@ def _pow_mod(base: tuple[int, ...], e: int, f: Sequence[int], p: int) -> tuple[i
 # the canonical modulus
 
 
-def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """Monic degree-d polynomials in base-p order of their lower coefficients."""
-    for n in range(p ** degree):
+def _monic_polys(p: int, degree: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """Monic degree-d polynomials in base-p order of their lower coefficients,
+    from the start-th on."""
+    for n in range(start, p ** degree):
         coeffs = []
         m = n
         for _ in range(degree):
@@ -123,6 +124,11 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     ResourceError before a candidate whose full test would take the charges
     over ``polynomials.MAX_IRREDUCIBILITY_COST`` (at once if a single test
     would).
+
+    For p > 2 the first p candidates, the binomials t^k + a0, are skipped
+    untested when none of them can be irreducible (Lidl-Niederreiter, Thm
+    3.75): when a prime r | k does not divide p - 1, or when 4 | k and
+    p != 1 (mod 4).
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -132,8 +138,10 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 
     cap = polynomials.MAX_IRREDUCIBILITY_COST
     full = polynomials.irreducibility_cost(p, k)  # before _monic_polys forms p^k
+    no_binomial = p > 2 and (any((p - 1) % r for r in prime_factors(k)) or (k % 4 == 0 and p % 4 != 1))
+    start = p if no_binomial else 0
     spent = 0
-    for tested, poly in enumerate(_monic_polys(p, k)):
+    for tested, poly in enumerate(_monic_polys(p, k, start), start):
         if spent + full > cap:
             raise ResourceError(
                 f"no irreducible polynomial of degree {k} over F_{p} among the first {tested} "

@@ -370,8 +370,8 @@ class TestResourceRefusals:
     """Requests beyond a size cap end as one resource-error line, exit 2."""
 
     @pytest.mark.parametrize("argv", [
-        # no binomial t^5 + a is irreducible, since 5 does not divide p - 1: the
-        # modulus scan runs out of its cost budget long before it passes them
+        # the modulus scan skips the binomials t^5 + a (5 does not divide p - 1),
+        # and factoring q - 1 = p^5 - 1 for the generator refuses
         ["constants", "--p", "1000003", "--k", "5"],
         ["count", "--p", "1000003", "--k", "5", "--s", "3", "--z", "zero"],
         # p - 1 = 2 * 1000003 * 1000121: a composite cofactor beyond the trial-division bound

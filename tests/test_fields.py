@@ -17,7 +17,7 @@ from diagcubic import (
 from diagcubic import fields as fields_module
 from diagcubic import polynomials
 from diagcubic.fields import find_generator, find_irreducible, parse_element
-from diagcubic.ntheory import prime_factors
+from diagcubic.ntheory import prime_factors, primes_up_to
 
 
 class TestFindIrreducible:
@@ -563,6 +563,64 @@ class TestBenOrAgainstTrialDivision:
         assert tested.count(field.modulus) == 1
         if modulus is not None:
             assert tested == [field.modulus]
+
+
+def _scan_from_the_first_candidate(p, k):
+    """find_irreducible before it skipped binomials: a Ben-Or test for each
+    candidate from t^k on, charged as the scan charges it; None where the
+    cost cap refuses."""
+    cap = polynomials.MAX_IRREDUCIBILITY_COST
+    full = polynomials.irreducibility_cost(p, k)
+    spent = 0
+    for poly in _monic_polys(p, k):
+        if spent + full > cap:
+            return None
+        irreducible, cost = polynomials.ben_or(poly, p)
+        if irreducible:
+            return poly
+        spent += min(cost, full)
+
+
+#: (p, k), 2 < p < 200 and k <= 8, where no binomial t^k + a is irreducible:
+#: a prime r | k does not divide p - 1, or 4 | k and p = 3 (mod 4)
+NO_BINOMIAL = [
+    (p, k) for p in primes_up_to(199) if p > 2 for k in range(2, 9)
+    if any((p - 1) % r for r in prime_factors(k)) or (k % 4 == 0 and p % 4 != 1)
+]
+
+
+class TestBinomialSkip:
+    def test_cases(self):
+        assert len(NO_BINOMIAL) == 170
+        assert (11, 3) in NO_BINOMIAL and (7, 4) in NO_BINOMIAL and (7, 8) in NO_BINOMIAL
+        assert (13, 4) not in NO_BINOMIAL and not any(k == 2 for _, k in NO_BINOMIAL)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_same_modulus_as_the_unskipped_scan(self, monkeypatch, k):
+        tested = []
+        original = polynomials.ben_or
+        monkeypatch.setattr(polynomials, "ben_or", lambda poly, q: tested.append(poly) or original(poly, q))
+        for p in (p for p, kk in NO_BINOMIAL if kk == k):
+            expected = _scan_from_the_first_candidate(p, k)
+            assert expected is not None, (p, k)  # the unskipped scan answers every case
+            index = sum(c * p ** i for i, c in enumerate(expected[:k]))
+            assert index >= p  # no binomial is irreducible
+            tested.clear()
+            assert find_irreducible(p, k) == expected, (p, k)
+            assert len(tested) == index - p + 1 and all(any(poly[1:k]) for poly in tested), (p, k)
+
+    def test_characteristic_two_scans_every_binomial(self, monkeypatch):
+        # t^k and t^k + 1 are reducible over F_2, yet p = 2 keeps the full scan
+        tested = []
+        original = polynomials.ben_or
+        monkeypatch.setattr(polynomials, "ben_or", lambda poly, q: tested.append(poly) or original(poly, q))
+        assert find_irreducible(2, 3) == (1, 1, 0, 1)
+        assert tested[:2] == [(0, 0, 0, 1), (1, 0, 0, 1)]
+
+    def test_fields_beyond_the_old_cap(self):
+        # the unskipped scan spends its cost cap on the p binomials of these
+        assert make_field(4999, 4).modulus == (1, 1, 0, 0, 1)
+        assert make_field(10007, 3).modulus == (1, 1, 0, 1)
 
 
 def _full_walk_generator(field):

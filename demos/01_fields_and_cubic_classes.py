@@ -8,6 +8,7 @@ of its discrete log base g modulo 3, computed without a discrete log.
 """
 
 from diagcubic import CubicClass, make_field
+from diagcubic.eisenstein import EI_ONE, OMEGA, OMEGA2
 from diagcubic.oracle import cube_histogram
 
 print("== prime field F_31 ==")
@@ -30,9 +31,10 @@ print(f"({a}) ** 10**30 =", a ** 10 ** 30, " (exponents reduce mod q-1)")
 
 print("\n== cubic classes over F_7 (g = 3) ==")
 f7 = make_field(7)
+chi_on = {CubicClass.C0: EI_ONE, CubicClass.C1: OMEGA, CubicClass.C2: OMEGA2}  # the cubic character, chi(g) = w
 for z in f7.nonzero_elements():
     cls = f7.cube_class(z)
-    chi = f7.cubic_character(z)
+    chi = chi_on[cls]
     print(f"  z = {z}: class {cls}, character value {chi}")
 print("each nonzero class has (q-1)/3 =", (f7.q - 1) // 3, "elements")
 

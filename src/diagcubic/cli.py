@@ -41,12 +41,7 @@ _MAX_OUTPUT_DIGITS = 100_000
 #: Largest series window the CLI prints, in decimal digits of all its counts.
 _MAX_SERIES_DIGITS = 10_000_000
 
-_CLASS_KEYWORDS = {
-    "zero": CubicClass.ZERO,
-    "c0": CubicClass.C0,
-    "c1": CubicClass.C1,
-    "c2": CubicClass.C2,
-}
+_CLASS_KEYWORDS = {cls.value: cls for cls in CubicClass}
 
 
 class _Parser(argparse.ArgumentParser):

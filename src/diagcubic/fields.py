@@ -28,7 +28,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .eisenstein import EI_ONE, EI_ZERO, OMEGA, OMEGA2, EisensteinInt
 from .errors import DomainError, IntegrityError, ResourceError
 from .ntheory import is_prime, prime_factors
 
@@ -51,13 +50,6 @@ class CubicClass(Enum):
 
 NONZERO_CLASSES = (CubicClass.C0, CubicClass.C1, CubicClass.C2)
 NONCUBIC_CLASSES = (CubicClass.C1, CubicClass.C2)
-
-_CHARACTER_VALUE = {
-    CubicClass.ZERO: EI_ZERO,
-    CubicClass.C0: EI_ONE,
-    CubicClass.C1: OMEGA,
-    CubicClass.C2: OMEGA2,
-}
 
 #: Largest number of candidates the generator search may test.  Generators
 #: make up phi(q - 1)/(q - 1) of the units, so the search ends after a few.
@@ -369,8 +361,6 @@ class FieldDescriptor:
         if x.is_zero():
             return False
         n = self.q - 1
-        if (x ** n) != self.one:
-            return False
         return all((x ** (n // ell)) != self.one for ell in prime_factors(n))
 
     # -- cubic structure --------------------------------------------------------
@@ -394,13 +384,6 @@ class FieldDescriptor:
         if w == h2:
             return CubicClass.C2
         raise IntegrityError(f"{z} ** ((q-1)/3) is not a cube root of unity")
-
-    def cubic_character(self, z: FieldElement) -> EisensteinInt:
-        """Order-3 multiplicative character with value w at the generator.
-
-        Returns 1, w, or w^2 = -1-w for nonzero z, and 0 at zero by convention.
-        """
-        return _CHARACTER_VALUE[self.cube_class(z)]
 
     def representative(self, cls: CubicClass) -> FieldElement:
         """Smallest element (base-p integer order) of the given cubic class."""
@@ -434,8 +417,8 @@ def find_generator(field: FieldDescriptor) -> FieldElement:
 
     For k >= 2 the search starts at code p: the codes below p are the prime
     subfield, whose units have order dividing p - 1 < q - 1.  Verification is
-    exact: x has order q - 1 iff x ** (q-1) = 1 and x ** ((q-1)/l) != 1 for
-    every prime l dividing q - 1.  A search that tests more than
+    exact: a unit x has order q - 1 iff x ** ((q-1)/l) != 1 for every prime
+    l dividing q - 1.  A search that tests more than
     ``_MAX_GENERATOR_CANDIDATES`` candidates raises ResourceError.
     """
     start = 1 if field.k == 1 else field.p

@@ -35,18 +35,18 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality over the fewest of the first 13
     prime bases that the bounds in ``_MILLER_RABIN_BOUNDS`` allow for n.
 
-    n at or above 3.317 * 10^24, where the 13 bases are no longer known to
-    suffice, is refused with a ResourceError.
+    n at or above 3.317 * 10^24 with no prime factor up to 41, where the 13
+    bases are no longer known to suffice, is refused with a ResourceError.
     """
-    if n >= _MILLER_RABIN_LIMIT:
-        raise ResourceError(
-            f"primality of {n} is not decided deterministically above {_MILLER_RABIN_LIMIT}"
-        )
     if n < 2:
         return False
     for a in _MILLER_RABIN_BASES:
         if n % a == 0:
             return n == a
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ResourceError(
+            f"primality of {n} is not decided deterministically above {_MILLER_RABIN_LIMIT}"
+        )
     bases = next(j for psi, j in _MILLER_RABIN_BOUNDS if n < psi)
     d, r = n - 1, 0
     while d % 2 == 0:

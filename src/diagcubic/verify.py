@@ -31,7 +31,8 @@ the Chowla-Cowles-Cowles mod-4 rule.
 ``os.fork`` exists, at least two CPUs are usable and the caller runs no second
 thread, it runs the constants-integrity group, whose Jacobi scan is most of the
 suite's time, in one forked child while the other groups run in the caller;
-otherwise every group runs in the caller.  The report is the same either way.
+otherwise every group runs in the caller, that one last.  The report and any
+exception raised are the same either way.
 """
 
 from __future__ import annotations
@@ -480,10 +481,20 @@ def signed_d_mod4(field: FieldDescriptor, y_cls: CubicClass) -> int:
     raise IntegrityError(f"neither {d} nor {-d} is {wanted} (mod 4)")
 
 
+#: Largest prime bound of the mod-4 check, whose brute-force T_3 grows about as p^2.5.
+_MAX_MOD4_PRIME_BOUND = 2000
+
+
 def check_mod4_sign_rule(prime_bound: int = MOD4_PRIME_BOUND) -> list[Check]:
     """For every prime p = 1 (mod 3), p <= bound, with 2 non-cubic: the mod-4
     signed d equals -delta_y * d for both non-cubic classes, and T_3 computed
-    through it agrees with the closed form and with brute force."""
+    through it agrees with the closed form and with brute force.  A bound
+    above ``_MAX_MOD4_PRIME_BOUND`` is refused before any work."""
+    if prime_bound > _MAX_MOD4_PRIME_BOUND:
+        raise ResourceError(
+            f"a mod-4 sign-rule check to {prime_bound} needs brute-force counts "
+            f"above the cap of p <= {_MAX_MOD4_PRIME_BOUND}"
+        )
     checks = []
     applicable = []
     failures = []
@@ -572,30 +583,26 @@ def check_bijective_fields() -> list[Check]:
 _Group = Callable[[], list[Check]]
 
 
-def _can_fork() -> bool:
-    """Whether a forked child can run a group beside the caller: os.fork
-    exists, two CPUs are usable, and no second thread is alive (a fork copies
-    only the calling thread, whatever locks the others hold)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return usable >= 2
-
-
 @contextmanager
 def _forked(group: _Group) -> Iterator[_Group]:
     """Run group() in a forked child and yield ``join``, which returns its
     checks or raises its exception.  The child pickles its outcome into a pipe
     and ends in os._exit, so it never flushes the stdio it inherited or runs
     atexit handlers.  A child not joined when the block exits is killed; every
-    child is reaped."""
+    child is reaped.  Without os.fork, two usable CPUs and a single thread (a
+    fork copies only the calling thread, whatever locks the others hold), or
+    if the fork fails, ``join`` is group itself: the group runs in the caller."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if not hasattr(os, "fork") or threading.active_count() > 1 or usable < 2:
+        yield group
+        return
     import pickle  # loaded only by a report that forks
     import signal
 
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to be had: the group runs here, at join
+    except OSError:  # no process to be had
         os.close(read_fd)
         os.close(write_fd)
         yield group
@@ -644,26 +651,19 @@ def _forked(group: _Group) -> Iterator[_Group]:
         pipe.close()
 
 
-def _run_groups(groups: list[_Group], forked: int | None) -> list[Check]:
-    """Every group's checks, in order.  The group at index ``forked`` runs in
-    a child beside the others; the exception raised is the one the groups run
-    one after another would raise, that of the first group in order to fail."""
-    if forked is None:
-        return [check for group in groups for check in group()]
-    results: list[list[Check]] = []
+def _run_groups(groups: list[_Group], forked: int) -> list[Check]:
+    """Every group's checks, in order.  The group at index ``forked`` runs
+    through :func:`_forked`, beside the others or after them; the exception
+    raised is the one the groups run one after another would raise, that of
+    the first group in order to fail."""
     with _forked(groups[forked]) as join:
-        for i, group in enumerate(groups):
-            if i == forked:
-                results.append([])
-                continue
-            try:
-                results.append(group())
-            except Exception:
-                if i > forked:
-                    join()  # raises first if the forked group failed
-                raise
-        results[forked] = join()
-    return [check for checks in results for check in checks]
+        before = [check for group in groups[:forked] for check in group()]
+        try:
+            after = [check for group in groups[forked + 1:] for check in group()]
+        except Exception:
+            join()  # raises first if the forked group fails
+            raise
+        return before + join() + after
 
 
 def full_report(jacobi_bound: int | None = None, mod4_prime_bound: int | None = None) -> dict:
@@ -676,7 +676,7 @@ def full_report(jacobi_bound: int | None = None, mod4_prime_bound: int | None = 
         check_even_degree_adjudication,
         check_bijective_fields,
     ]
-    checks = _run_groups(groups, 2 if _can_fork() else None)  # the Jacobi scan, most of the suite's time
+    checks = _run_groups(groups, 2)  # the Jacobi scan, most of the suite's time
     passed = sum(1 for c in checks if c.status == "pass")
     failed = sum(1 for c in checks if c.status == "fail")
     warned = sum(1 for c in checks if c.status == "warn")

@@ -4,6 +4,7 @@ from diagcubic import (
     CubicClass,
     DomainError,
     IntegrityError,
+    ResourceError,
     bijective_count,
     count_diagonal,
     count_twisted,
@@ -230,6 +231,18 @@ class TestSignedDMod4:
             signed_d_mod4(make_field(5), C1)  # p = 2 (mod 3)
         with pytest.raises(DomainError):
             signed_d_mod4(make_field(7), C0)
+
+    def test_check_bound_above_the_cap_refused_before_the_sieve(self, monkeypatch):
+        sieved = []
+        monkeypatch.setattr(verify_module, "primes_up_to", lambda n: sieved.append(n) or [])
+        with pytest.raises(ResourceError) as refused:
+            verify_module.check_mod4_sign_rule(prime_bound=10**5)
+        assert str(refused.value) == (
+            "a mod-4 sign-rule check to 100000 needs brute-force counts above the cap of p <= 2000"
+        )
+        assert sieved == []
+        verify_module.check_mod4_sign_rule(prime_bound=2000)  # the cap itself reaches the sieve
+        assert sieved == [2000]
 
 
 class TestCharacteristicThree:

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,14 +10,13 @@ from hypothesis import given, strategies as st
 from diagcubic import (
     CubicClass,
     DomainError,
-    EisensteinInt,
     ResourceError,
     make_field,
     verify,
 )
 from diagcubic import fields as fields_module
 from diagcubic import polynomials
-from diagcubic.fields import find_generator, find_irreducible, parse_element
+from diagcubic.fields import NONZERO_CLASSES, find_generator, find_irreducible, parse_element
 from diagcubic.ntheory import prime_factors, primes_up_to
 
 
@@ -315,28 +315,22 @@ class TestCubicClass:
 
 
 class TestCubicCharacter:
-    def test_values(self, f7):
-        omega = EisensteinInt(0, 1)
-        assert f7.cubic_character(f7.g) == omega
-        assert f7.cubic_character(f7.one) == EisensteinInt(1, 0)
-        assert f7.cubic_character(f7.element([2])) == EisensteinInt(-1, -1)
-        assert f7.cubic_character(f7.zero) == EisensteinInt(0, 0)
+    """The order-3 character chi(z) = w^i on class Ci, read through cube_class."""
 
     @pytest.mark.parametrize("p,k", [(7, 1), (13, 1), (7, 2)])
     def test_indicator_identity(self, p, k):
-        # 1 + chi(a) + chi(a)^2 is 3 on nonzero cubes and 0 elsewhere
+        # 1 + chi(a) + chi(a)^2 counts the cube roots of a: 3 on nonzero cubes, 0 elsewhere
         field = make_field(p, k)
-        one = EisensteinInt(1, 0)
+        roots = Counter(x ** 3 for x in field.nonzero_elements())
         for a in field.nonzero_elements():
-            chi = field.cubic_character(a)
-            total = one + chi + chi * chi
-            expected = EisensteinInt(3, 0) if field.cube_class(a) is CubicClass.C0 else EisensteinInt(0, 0)
-            assert total == expected
+            assert roots[a] == (3 if field.cube_class(a) is CubicClass.C0 else 0)
 
     def test_multiplicative(self, f13):
+        # chi(ab) = chi(a) chi(b): class indices add mod 3
+        index = {cls: i for i, cls in enumerate(NONZERO_CLASSES)}
         for a in f13.nonzero_elements():
             for b in f13.nonzero_elements():
-                assert f13.cubic_character(a * b) == f13.cubic_character(a) * f13.cubic_character(b)
+                assert index[f13.cube_class(a * b)] == (index[f13.cube_class(a)] + index[f13.cube_class(b)]) % 3
 
 
 class TestSerialization:
@@ -656,6 +650,12 @@ class TestGeneratorSearch:
         elapsed = time.perf_counter() - start
         assert str(field.g) == "5,1" and int(field.g) == 99996
         assert elapsed < 5.0
+
+    def test_q_minus_1_beyond_the_primality_range(self):
+        # q - 1 = 7^30 - 1 is above 3.3 * 10^24: is_prime divides by its small primes before it refuses
+        field = make_field(7, 30)
+        assert field.modulus == (5, 1, 1) + (0,) * 27 + (1,)
+        assert field.g.coeffs == (0, 1) + (0,) * 28
 
     @pytest.mark.parametrize("p, k", [(7, 1), (7, 2)])
     def test_candidate_cap_boundary(self, monkeypatch, p, k):

@@ -142,6 +142,13 @@ def test_second_field_kernel_deleted():
     assert not hasattr(polynomials, "_x_pow_mod")
 
 
+def test_cubic_character_deleted():
+    # cube_class is the one route to an element's class, and fields reads no Eisenstein integers
+    fields = importlib.import_module("diagcubic.fields")
+    assert not hasattr(fields.FieldDescriptor, "cubic_character")
+    assert [name for name in ("cubic_character", "_CHARACTER_VALUE", "EisensteinInt") if name in vars(fields)] == []
+
+
 def test_star_import():
     namespace = {}
     exec("from diagcubic import *", namespace)

@@ -87,12 +87,14 @@ class TestIsPrime:
     def test_refuses_beyond_deterministic_range(self):
         limit = ntheory._MILLER_RABIN_LIMIT
         assert not is_prime(limit - 1)  # even
-        with pytest.raises(ResourceError):
+        # the small-prime divisions come before the refusal
+        assert not is_prime(2 * limit) and not is_prime(41 * limit)
+        with pytest.raises(ResourceError, match=f"^primality of {limit} is not decided deterministically"):
             is_prime(limit)
 
 
 class TestPrimeFactors:
-    @pytest.mark.parametrize("n", [1, 2, 12, 97, 1000002, 1000000000038, 2**64 - 1, 2 * 3 * 999983 ** 2])
+    @pytest.mark.parametrize("n", [1, 2, 12, 97, 1000002, 1000000000038, 2**64 - 1, 2 * 3 * 999983 ** 2, 7**30 - 1])
     def test_factorisation(self, n):
         factors = prime_factors(n)
         assert list(factors) == sorted(set(factors))
@@ -102,6 +104,12 @@ class TestPrimeFactors:
             while m % f == 0:
                 m //= f
         assert m == 1
+
+    def test_refusal_names_the_cofactor(self):
+        # q - 1 = 1000003^5 - 1 = 66 * m: is_prime refuses m, the cofactor left after 2, 3 and 11
+        m = (1000003**5 - 1) // 66
+        with pytest.raises(ResourceError, match=f"^primality of {m} is not decided deterministically"):
+            prime_factors(1000003**5 - 1)
 
     def test_stops_at_a_prime_cofactor(self):
         # the cofactor 2^61 - 1 is prime: no trial division up to its square root

@@ -141,6 +141,22 @@ def test_one_usable_cpu_runs_the_scan_in_process(no_fork, monkeypatch):
     assert verify.full_report(jacobi_bound=300)["ok"]
 
 
+def test_one_usable_cpu_keeps_the_serial_error_order(no_fork, monkeypatch):
+    # in the caller the scan runs after the later groups, yet its exception still wins
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _fault_at_31(monkeypatch)
+    monkeypatch.setattr(verify, "check_numeric_identities", _raising(DomainError("numeric identities")))
+    with pytest.raises(IntegrityError, match="^injected fault at p = 31$"):
+        verify.full_report(jacobi_bound=300)
+    scans = []
+    monkeypatch.setattr(verify, "check_constants_integrity", lambda bound: scans.append(bound) or [])
+    monkeypatch.setattr(verify, "check_oracle_equivalence", _raising(DomainError("oracle equivalence")))
+    with pytest.raises(DomainError, match="^oracle equivalence$"):
+        verify.full_report()
+    assert scans == []
+
+
 def test_second_live_thread_runs_the_scan_in_process(no_fork, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     release = threading.Event()

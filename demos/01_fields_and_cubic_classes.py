@@ -40,8 +40,7 @@ print("each nonzero class has (q-1)/3 =", (f7.q - 1) // 3, "elements")
 
 print("\n== the cube histogram is the oracle's convolution kernel ==")
 for field in (f7, make_field(2, 2), make_field(5)):
-    hist = cube_histogram(field)
-    print(f"  F_{field.q}: counts by element code = {hist.counts}")
+    print(f"  F_{field.q}: counts by element code = {cube_histogram(field)}")
 print("for q = 2 (mod 3) the cube map is a bijection: all counts are 1,")
 print("so x_1^3 + ... + x_s^3 = z always has exactly q^(s-1) solutions.")
 

@@ -30,7 +30,7 @@ generator) and the brute-force oracle confirms it; see demo 03.
 print("== the Jacobi sum is the exact carrier ==")
 j31 = jacobi_sum_cubic(31, 3)
 print("J over F_31 with chi(3) = w:", j31, " norm =", j31.norm())
-print("(r1, r2) from 2J = r1 + 3*sqrt(3)*r2*i:", tuple(r_pair(j31, 31)))
+print("(r1, r2) from 2J = r1 + 3*sqrt(3)*r2*i:", r_pair(j31, 31))
 
 print("\n== the constants depend on the generator only through class labels ==")
 for gen in ((2, 1), (3, 1)):

@@ -18,8 +18,9 @@ resource error (counts longer than the output cap, a series window longer
 than the total cap, a field beyond a size cap of the primality test, the
 factoring of q - 1, the irreducibility test or the (c, d) search), 3
 integrity or internal error; errors are emitted as JSON objects.  Counts use
-the exact theta: --theta-source paper, the parity rule's theta, is an integrity
-error for a non-cubic class wherever the two differ (q = p^(2m), p = 1 (mod 3)).
+the exact theta: on count and series, --theta-source paper, the parity rule's
+theta, is an integrity error for a non-cubic class wherever the two differ
+(q = p^(2m), p = 1 (mod 3)).
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import json
 import os
 import sys
 
-from .constants import CubicData, cubic_data
+from .constants import CubicData, _refuse_undefined, cubic_data
 from .counting import bijective_count, count_diagonal, count_twisted, diagonal_series, twisted_series
 from .errors import DomainError, IntegrityError, ResourceError
-from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor, make_field, parse_element
+from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor, _field_order, make_field, parse_element
+from .ntheory import prime_factors
 
 #: Largest count the CLI prints, in decimal digits.  A request whose counts
 #: could be longer is refused with a resource error before any counting.
@@ -72,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("constants", help="field constants as JSON")
     _add_field_options(sub)
-    _add_theta_option(sub)
     _add_format_option(sub)
 
     sub = commands.add_parser("count", help="one exact zero count")
@@ -95,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_option(sub)
 
     sub = commands.add_parser("reproduce-example", help="the F_31 worked example")
-    _add_theta_option(sub)
     _add_format_option(sub)
     return parser
 
@@ -107,9 +107,13 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
         raise DomainError(f"bad coefficient list {text!r}") from exc
 
 
-def _resolve_field(args) -> FieldDescriptor:
+def _resolve_field(args, refuse) -> FieldDescriptor:
+    """The field of args; refuse(args, q) runs before the field's search, so a request it refuses builds none."""
     modulus = _parse_coeffs(args.modulus) if args.modulus is not None else None
     generator = _parse_coeffs(args.generator) if args.generator is not None else None
+    q = _field_order(args.p, args.k, modulus)
+    prime_factors(q - 1)  # refuses as the generator search would, which reads it from the memo
+    refuse(args, q)
     return make_field(args.p, args.k, modulus, generator)
 
 
@@ -125,19 +129,6 @@ def _check_output_digits(q: int, s: int) -> None:
         raise ResourceError(
             f"counts with s = {s} over F_{q} may have up to {bound} digits, "
             f"above the output cap of {_MAX_OUTPUT_DIGITS}"
-        )
-
-
-def _check_series_digits(q: int, n_terms: int) -> None:
-    """Refuse a window of counts with up to s = 1..n_terms+1 variables whose
-    digits, at most sum of s * digits(q), could exceed the total cap."""
-    s_max = n_terms + 1
-    _check_output_digits(q, s_max)
-    bound = len(str(q)) * s_max * (s_max + 1) // 2 if s_max > 0 else 0
-    if bound > _MAX_SERIES_DIGITS:
-        raise ResourceError(
-            f"a series of {n_terms} terms over F_{q} may print up to {bound} digits, "
-            f"above the total cap of {_MAX_SERIES_DIGITS}"
         )
 
 
@@ -184,7 +175,7 @@ def _resolve_target(field: FieldDescriptor, text: str) -> tuple[CubicClass, str,
 
 
 def _run_constants(args) -> tuple[dict, int]:
-    field = _resolve_field(args)
+    field = _resolve_field(args, lambda args, q: _refuse_undefined(q))
     data = cubic_data(field)
     result = {
         "q": data.q, "p": data.p, "k": data.k,
@@ -195,16 +186,17 @@ def _run_constants(args) -> tuple[dict, int]:
     return {"query": _field_query(args, field), "result": result, "warnings": _data_warnings(data)}, 0
 
 
-def _run_count(args) -> tuple[dict, int]:
-    field = _resolve_field(args)
+def _count_refusals(args, q: int) -> None:
     if (args.z is None) == (args.y is None):
         raise DomainError("give exactly one of --z (plain target) or --y (twisted coefficient)")
-    _check_output_digits(field.q, args.s)
+    _check_output_digits(q, args.s)
+    if args.y is not None and q % 3 != 1:
+        raise DomainError(f"every element of F_{q} is a cube (q = {q % 3} mod 3): no non-cubic coefficient exists")
+
+
+def _run_count(args) -> tuple[dict, int]:
+    field = _resolve_field(args, _count_refusals)
     if args.y is not None:
-        if field.q % 3 != 1:
-            raise DomainError(
-                f"every element of F_{field.q} is a cube (q = {field.q % 3} mod 3): no non-cubic coefficient exists"
-            )
         cls, label, extra = _resolve_target(field, args.y)
         data, warnings = _count_constants(field, cls, args.theta_source)
         value = count_twisted(data, args.s, cls)
@@ -226,13 +218,25 @@ def _run_count(args) -> tuple[dict, int]:
     return {"query": {**_field_query(args, field), "s": args.s}, "result": result, "warnings": warnings}, 0
 
 
-def _run_series(args) -> tuple[dict, int]:
-    field = _resolve_field(args)
+def _series_refusals(args, q: int) -> None:
+    """Refuse, among the rest, a window of counts with s = 1..n_terms+1 variables
+    whose digits, at most sum of s * digits(q), could exceed the total cap."""
     if (args.z is None) == (args.y is None):
         raise DomainError("give exactly one of --z or --y")
-    if field.q % 3 != 1:
-        raise DomainError(f"series require q = 1 (mod 3); q = {field.q} counts are q^(s-1) throughout")
-    _check_series_digits(field.q, args.n_terms)
+    if q % 3 != 1:
+        raise DomainError(f"series require q = 1 (mod 3); q = {q} counts are q^(s-1) throughout")
+    s_max = args.n_terms + 1
+    _check_output_digits(q, s_max)
+    bound = len(str(q)) * s_max * (s_max + 1) // 2 if s_max > 0 else 0
+    if bound > _MAX_SERIES_DIGITS:
+        raise ResourceError(
+            f"a series of {args.n_terms} terms over F_{q} may print up to {bound} digits, "
+            f"above the total cap of {_MAX_SERIES_DIGITS}"
+        )
+
+
+def _run_series(args) -> tuple[dict, int]:
+    field = _resolve_field(args, _series_refusals)
     cls, label, extra = _resolve_target(field, args.z if args.y is None else args.y)
     data, warnings = _count_constants(field, cls, args.theta_source)
     if args.y is not None:
@@ -259,9 +263,9 @@ def _run_verify(args) -> tuple[dict, int]:
 
 def _run_reproduce(args) -> tuple[dict, int]:
     from . import verify
-    report = verify.reproduce_example()  # F_31 has odd degree: both thetas agree
+    report = verify.reproduce_example()
     payload = {
-        "query": {"command": "reproduce-example", "theta_source": args.theta_source},
+        "query": {"command": "reproduce-example"},
         "result": report,
         "warnings": [],
     }

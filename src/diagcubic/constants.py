@@ -90,6 +90,11 @@ def delta(data: CubicData, cls: CubicClass) -> int:
     raise DomainError(f"the sign factor is defined only for non-cubic classes, not {cls}")
 
 
+def _refuse_undefined(q: int) -> None:
+    if q % 3 != 1:
+        raise DomainError(f"q = {q} = {q % 3} (mod 3): the counting constants are not defined")
+
+
 def cubic_data(field: FieldDescriptor) -> CubicData:
     """Assemble every constant for one field, cross-checking all invariants.
 
@@ -108,8 +113,7 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
     here: it is the witness for (c, d) in ``verify`` and the tests.
     """
     q, p, k = field.q, field.p, field.k
-    if q % 3 != 1:
-        raise DomainError(f"q = {q} = {q % 3} (mod 3): the counting constants are not defined")
+    _refuse_undefined(q)
     if p % 3 == 1:
         j_sum = jacobi_sum_cubic(p, field.g.norm())
         m = j_sum ** k

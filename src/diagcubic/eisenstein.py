@@ -91,14 +91,6 @@ class EisensteinInt(NamedTuple):
 OMEGA = EisensteinInt(0, 1)
 OMEGA2 = EisensteinInt(-1, -1)
 EI_ONE = EisensteinInt(1, 0)
-EI_ZERO = EisensteinInt(0, 0)
-
-
-class RPair(NamedTuple):
-    """The pair (r1, r2) with 4p = r1^2 + 27*r2^2; r2 may be negative."""
-
-    r1: int
-    r2: int
 
 
 def _verify_generator_mod_p(gen: int, p: int) -> None:
@@ -144,7 +136,7 @@ def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
     return j_sum
 
 
-def r_pair(j_sum: EisensteinInt, p: int) -> RPair:
+def r_pair(j_sum: EisensteinInt, p: int) -> tuple[int, int]:
     """Extract (r1, r2) from a cubic Jacobi sum via 2J = r1 + 3*sqrt(3)*r2*i.
 
     With J = a + b*w this reads r1 = 2a - b and r2 = b/3.  The preconditions
@@ -163,4 +155,4 @@ def r_pair(j_sum: EisensteinInt, p: int) -> RPair:
         raise IntegrityError(f"r1 = {r1} is not 1 (mod 3)")
     if (r1 - r2) % 2 != 0:
         raise IntegrityError(f"r1 = {r1} and r2 = {r2} have opposite parity")
-    return RPair(r1, r2)
+    return r1, r2

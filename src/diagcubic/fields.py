@@ -259,6 +259,27 @@ class FieldElement:
 # field descriptors
 
 
+def _field_order(p: int, k: int, modulus: tuple[int, ...] | None) -> int:
+    """q = p^k after the checks of :func:`make_field` that need no search, in its
+    order: p prime, k >= 1, a given modulus's shape, then for k >= 2 the cost cap
+    of one irreducibility test, so q is formed only for a bounded k."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if k < 1:
+        raise DomainError("extension degree must be positive")
+    if modulus is not None:
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            raise DomainError(f"modulus must be monic of degree {k}")
+        if any(not (0 <= c < p) for c in modulus):
+            raise DomainError(f"modulus coefficients must lie in [0, {p})")
+        if k == 1 and modulus != (0, 1):
+            raise DomainError("the prime field uses the trivial modulus t")
+    if k > 1:
+        from . import polynomials
+        polynomials.irreducibility_cost(p, k)  # refuses a test beyond the cap
+    return p ** k
+
+
 class FieldDescriptor:
     """A concrete model of F_{p^k}: prime, degree, modulus, generator.
 
@@ -272,30 +293,18 @@ class FieldDescriptor:
     def __init__(
         self, p: int, k: int, modulus: tuple[int, ...] | None, generator: tuple[int, ...] | None
     ):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        if k < 1:
-            raise DomainError("extension degree must be positive")
+        self.q = _field_order(p, k, modulus)
         self.p = p
         self.k = k
 
         if modulus is None:
             # the canonical modulus, proved irreducible by the scan, so not tested again
             modulus = (0, 1) if k == 1 else find_irreducible(p, k)
-        elif len(modulus) != k + 1 or modulus[-1] != 1:
-            raise DomainError(f"modulus must be monic of degree {k}")
-        elif any(not (0 <= c < p) for c in modulus):
-            raise DomainError(f"modulus coefficients must lie in [0, {p})")
-        elif k == 1:
-            if modulus != (0, 1):
-                raise DomainError("the prime field uses the trivial modulus t")
-        else:
+        elif k > 1:
             from . import polynomials
 
-            polynomials.irreducibility_cost(p, k)  # refuses a test beyond the cap
-            if not polynomials.is_irreducible(modulus, p):
+            if not polynomials.ben_or(modulus, p)[0]:
                 raise DomainError(f"modulus {modulus} is reducible over F_{p}")
-        self.q = p ** k  # after the modulus checks, which bound k by the modulus length or the cost cap
         self.modulus = tuple(modulus)
         self._sig = (p, k, self.modulus)
 

@@ -27,7 +27,7 @@ _MILLER_RABIN_BOUNDS = (
 )
 _MILLER_RABIN_LIMIT = _MILLER_RABIN_BOUNDS[-1][0]
 
-#: Largest trial divisor prime_factors tries while the cofactor is still composite.
+#: Largest trial divisor prime_factors tries while the cofactor is not known prime.
 _MAX_TRIAL_DIVISOR = 10**6
 
 
@@ -69,29 +69,37 @@ def is_prime(n: int) -> bool:
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n >= 1, ascending.
 
-    Trial division stops as soon as the cofactor is prime; a cofactor still
-    composite once the divisor passes ``_MAX_TRIAL_DIVISOR`` is refused with
-    a ResourceError.
+    Trial division stops as soon as the cofactor is prime.  A composite
+    cofactor, or one whose primality :func:`is_prime` does not decide, is
+    refused with a ResourceError once the divisor passes ``_MAX_TRIAL_DIVISOR``.
     """
     out = []
     m = n  # the cofactor left after dividing out every prime found
-    composite = m > 1 and not is_prime(m)
+    pending = _not_known_prime(m)
     f = 2
-    while composite:
+    while pending:
         if f > _MAX_TRIAL_DIVISOR:
             raise ResourceError(
                 f"factoring {n} needs trial divisors above {_MAX_TRIAL_DIVISOR}: "
-                f"the cofactor {m} is composite"
+                f"the cofactor {m} {pending}"
             )
         if m % f == 0:
             out.append(f)
             while m % f == 0:
                 m //= f
-            composite = m > 1 and not is_prime(m)
+            pending = _not_known_prime(m)
         f += 1
     if m > 1:
         out.append(m)
     return tuple(out)
+
+
+def _not_known_prime(m: int) -> str:
+    """Why trial division must go on past m: "" for 1 or a prime."""
+    try:
+        return "is composite" if m > 1 and not is_prime(m) else ""
+    except ResourceError:
+        return f"is above {_MILLER_RABIN_LIMIT}, where primality is not decided"
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -34,8 +34,8 @@ from typing import Iterable, NamedTuple
 from .errors import DomainError, IntegrityError, ResourceError
 from .fields import FieldDescriptor, FieldElement
 
-#: Default caps for the brute-force enumerations; callers may raise them
-#: explicitly when they accept the cost.
+#: Caps for the brute-force enumerations; a caller may raise the cap on q
+#: (``max_q=``) explicitly when it accepts the cost.
 MAX_Q = 128
 MAX_S = 8
 
@@ -91,20 +91,14 @@ def _power_codes(tables: _Tables, start: int, step: int) -> tuple[tuple[int, ...
     return exp[start % e::e], e
 
 
-class CubeHistogram(NamedTuple):
+def cube_histogram(field: FieldDescriptor) -> tuple[int, ...]:
     """counts[int(v)] = number of cube roots of v in the field."""
-
-    field: FieldDescriptor
-    counts: tuple[int, ...]
-
-
-def cube_histogram(field: FieldDescriptor) -> CubeHistogram:
     counts = [0] * field.q
     counts[0] = 1  # x = 0
     codes, e = _power_codes(_tables(field), 0, 3)
     for code in codes:
         counts[code] = e
-    return CubeHistogram(field=field, counts=tuple(counts))
+    return tuple(counts)
 
 
 @lru_cache(maxsize=32)
@@ -126,10 +120,10 @@ def _add_codes(field: FieldDescriptor) -> list[list[int]]:
     return add
 
 
-def _check_cap(field: FieldDescriptor, s: int, max_q: int, max_s: int) -> None:
-    if field.q > max_q or s > max_s:
+def _check_cap(field: FieldDescriptor, s: int, max_q: int) -> None:
+    if field.q > max_q or s > MAX_S:
         raise ResourceError(
-            f"brute force over q = {field.q}, s = {s} exceeds the cap (q <= {max_q}, s <= {max_s})"
+            f"brute force over q = {field.q}, s = {s} exceeds the cap (q <= {max_q}, s <= {MAX_S})"
         )
 
 
@@ -142,7 +136,7 @@ def _distribution(field: FieldDescriptor, s: int) -> tuple[int, ...]:
     when dist(s) is built and each (field, s) is convolved once.
     """
     if s == 1:
-        return cube_histogram(field).counts
+        return cube_histogram(field)
     prev = _distribution(field, s - 1)
     support = [(code, count) for code, count in enumerate(_distribution(field, 1)) if count]
     q = field.q
@@ -162,9 +156,7 @@ def _distribution(field: FieldDescriptor, s: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def diagonal_count_vector(
-    field: FieldDescriptor, s: int, *, max_q: int = MAX_Q, max_s: int = MAX_S
-) -> list[int]:
+def diagonal_count_vector(field: FieldDescriptor, s: int, *, max_q: int = MAX_Q) -> list[int]:
     """Exact counts of x_1^3 + ... + x_s^3 = v for every v, indexed by int(v).
 
     The caps are checked before the cache is read, and every call returns a
@@ -172,7 +164,7 @@ def diagonal_count_vector(
     """
     if s < 1:
         raise DomainError("need at least one variable")
-    _check_cap(field, s, max_q, max_s)
+    _check_cap(field, s, max_q)
     # from s = 1 up: a step not cached finds its predecessor cached, so the
     # build never recurses more than one level
     for t in range(1, s + 1):
@@ -180,16 +172,14 @@ def diagonal_count_vector(
     return list(dist)
 
 
-def brute_twisted(
-    field: FieldDescriptor, s: int, y: FieldElement, *, max_q: int = MAX_Q, max_s: int = MAX_S
-) -> int:
+def brute_twisted(field: FieldDescriptor, s: int, y: FieldElement, *, max_q: int = MAX_Q) -> int:
     """Number of zeros of x_1^3 + ... + x_{s-1}^3 + y * x_s^3 = 0, y nonzero."""
     if y.is_zero():
         raise DomainError("the scaled variable's coefficient must be nonzero")
     if s < 2:
         raise DomainError("twisted counts need at least two variables")
-    _check_cap(field, s, max_q, max_s)
-    dist = diagonal_count_vector(field, s - 1, max_q=max_q, max_s=max_s)
+    _check_cap(field, s, max_q)
+    dist = diagonal_count_vector(field, s - 1, max_q=max_q)
     tables = _tables(field)
     # x_s = 0 leaves x_1^3 + ... = 0; a unit x_s leaves x_1^3 + ... = (-y)*x_s^3,
     # and -1 has code p - 1 (its coefficient vector is (p - 1, 0, ..., 0))

@@ -1,7 +1,7 @@
 """Polynomials over F_p: Ben-Or's irreducibility test and the cap on its cost.
 
 Polynomials are little-endian coefficient sequences (constant term first)
-with entries in [0, p).  :func:`is_irreducible` decides whether a monic f of
+with entries in [0, p).  :func:`ben_or` decides whether a monic f of
 degree k is irreducible in about k^2 * (k + log2 p) coefficient operations
 (Ben-Or, FOCS 1981; Shoup, *A Computational Introduction to Number Theory
 and Algebra*, ch. 20), on the one product and power mod f of the fields.
@@ -61,11 +61,6 @@ def irreducibility_cost(p: int, k: int) -> int:
             f"{cost} steps, above the cap of {MAX_IRREDUCIBILITY_COST}"
         )
     return cost
-
-
-def is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Ben-Or's test for f monic of degree k >= 1 over F_p; see :func:`ben_or`."""
-    return ben_or(f, p)[0]
 
 
 def ben_or(f: Sequence[int], p: int) -> tuple[bool, int]:

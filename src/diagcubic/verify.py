@@ -82,9 +82,6 @@ class Check(NamedTuple):
     expected: object
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def _check(name: str, ok: bool, observed, expected, detail="") -> Check:
     return Check(name, "pass" if ok else "fail", observed, expected, detail)
@@ -149,7 +146,7 @@ def check_example_reproduction() -> list[Check]:
 def reproduce_example() -> dict:
     checks = check_example_reproduction()
     status = "PASS" if all(c.status == "pass" for c in checks) else "FAIL"
-    return {"status": status, "checks": [c.to_dict() for c in checks]}
+    return {"status": status, "checks": [c._asdict() for c in checks]}
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +678,7 @@ def full_report(jacobi_bound: int | None = None, mod4_prime_bound: int | None = 
     failed = sum(1 for c in checks if c.status == "fail")
     warned = sum(1 for c in checks if c.status == "warn")
     return {
-        "checks": [c.to_dict() for c in checks],
+        "checks": [c._asdict() for c in checks],
         "passed": passed,
         "failed": failed,
         "warnings": warned,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -224,12 +225,6 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["result"]["status"] == "PASS"
 
-    def test_reproduce_example_paper_theta(self, capsys):
-        # odd extension degree: the parity rule and the exact path agree
-        code, out = run_cli(capsys, "reproduce-example", "--theta-source", "paper")
-        assert code == 0
-        assert json.loads(out)["result"]["status"] == "PASS"
-
     def test_verify_fault_injection(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "JACOBI_SCAN_BOUND", 300)
         monkeypatch.setitem(verify.EXAMPLE_EXPECTED, "t3_g", 1172)
@@ -411,6 +406,61 @@ class TestResourceRefusals:
         # a negative window is a validation error, however large
         code, out = run_cli(capsys, "series", "--p", "7", "--z", "zero", "--n-terms", "-100000")
         assert (code, json.loads(out)["error"]["type"]) == (2, "validation")
+
+
+#: q = 13^24 and 3^52: fields whose construction takes a few tenths of a second
+Q_13_24, Q_3_52 = 13**24, 3**52
+
+FACTORING_REFUSAL = "factoring 2000248000726 needs trial divisors above 1000000: the cofactor 1000124000363 is composite"
+
+#: (argv, error type, message) of requests refused on argv and q alone
+ARGV_ONLY_REFUSALS = [
+    (("count", "--p", "13", "--k", "24", "--s", "3"), "validation",
+     "give exactly one of --z (plain target) or --y (twisted coefficient)"),
+    (("count", "--p", "13", "--k", "24", "--s", "100000", "--z", "zero"), "resource",
+     f"counts with s = 100000 over F_{Q_13_24} may have up to 2700000 digits, above the output cap of 100000"),
+    (("count", "--p", "3", "--k", "52", "--s", "2", "--y", "c1"), "validation",
+     f"every element of F_{Q_3_52} is a cube (q = 0 mod 3): no non-cubic coefficient exists"),
+    (("constants", "--p", "3", "--k", "52"), "validation",
+     f"q = {Q_3_52} = 0 (mod 3): the counting constants are not defined"),
+    (("series", "--p", "3", "--k", "52", "--z", "zero"), "validation",
+     f"series require q = 1 (mod 3); q = {Q_3_52} counts are q^(s-1) throughout"),
+    (("series", "--p", "13", "--k", "24", "--z", "zero", "--y", "c1"), "validation", "give exactly one of --z or --y"),
+    (("series", "--p", "13", "--k", "24", "--z", "zero", "--n-terms", "2000"), "resource",
+     f"a series of 2000 terms over F_{Q_13_24} may print up to 54081027 digits, above the total cap of 10000000"),
+]
+
+#: (argv, message): the field's own checks, and factoring q - 1 (p - 1 here has the
+#: cofactor 1000003 * 1000121), keep their place ahead of the argv-only ones
+FIELD_CHECKS_FIRST = [
+    (("constants", "--p", "2000248000727"), FACTORING_REFUSAL),
+    (("series", "--p", "2000248000727", "--z", "zero"), FACTORING_REFUSAL),
+    (("count", "--p", "2000248000727", "--s", "3"), FACTORING_REFUSAL),
+    (("count", "--p", "7", "--k", "2", "--modulus", "1,0,1", "--generator", "x", "--s", "3"), "bad coefficient list 'x'"),
+    (("count", "--p", "9", "--s", "3"), "9 is not prime"),
+    (("series", "--p", "31", "--k", "0", "--z", "zero", "--y", "c1"), "extension degree must be positive"),
+    (("count", "--p", "7", "--k", "300", "--modulus", "1,0,1", "--s", "3"), "modulus must be monic of degree 300"),
+    (("constants", "--p", "3", "--k", "3", "--modulus", "3,0,0,1"), "modulus coefficients must lie in [0, 3)"),
+]
+
+
+class TestArgvOnlyRefusals:
+    """A request refused on argv and q = p^k alone is refused before any field
+    is built, with the message it had when the field came first."""
+
+    @pytest.mark.parametrize("argv, kind, message", [pytest.param(*row, id=" ".join(row[0])) for row in ARGV_ONLY_REFUSALS])
+    def test_no_field_built(self, capsys, monkeypatch, argv, kind, message):
+        def no_field(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(cli, "make_field", no_field)
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (2, {"error": {"type": kind, "message": message}})
+
+    @pytest.mark.parametrize("argv, message", [pytest.param(*row, id=" ".join(row[0])) for row in FIELD_CHECKS_FIRST])
+    def test_field_checks_come_first(self, capsys, argv, message):
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)["error"]["message"]) == (2, message)
 
 
 class TestInternalErrors:
@@ -612,6 +662,59 @@ class TestTwistedIntegrity:
                 for command in commands:
                     argv = (*command, "--p", p, "--k", k, option, keyword)
                     assert run_cli(capsys, *argv, "--theta-source", "paper") == run_cli(capsys, *argv)
+
+
+#: (command, option) -> (the other arguments, two values of the option): the
+#: two calls differ only in that value, and each option must change the output
+OPTION_EFFECTS = {
+    ("constants", "--p"): ((), "31", "37"),
+    ("constants", "--k"): (("--p", "7"), "1", "2"),
+    ("constants", "--modulus"): (("--p", "7", "--k", "2"), "1,0,1", "3,1,1"),
+    ("constants", "--generator"): (("--p", "31"), "3", "11"),
+    ("constants", "--format"): (("--p", "31"), "json", "tsv"),
+    ("count", "--p"): (("--s", "3", "--z", "zero"), "7", "13"),
+    ("count", "--k"): (("--p", "7", "--s", "3", "--z", "zero"), "1", "2"),
+    ("count", "--modulus"): (("--p", "7", "--k", "2", "--s", "3", "--z", "c1"), "1,0,1", "3,1,1"),
+    ("count", "--generator"): (("--p", "31", "--s", "3", "--z", "7"), "3", "11"),
+    ("count", "--s"): (("--p", "7", "--z", "zero"), "2", "3"),
+    ("count", "--z"): (("--p", "7", "--s", "3"), "zero", "c1"),
+    ("count", "--y"): (("--p", "31", "--s", "3"), "c1", "c2"),
+    ("count", "--theta-source"): (("--p", "7", "--k", "2", "--s", "3", "--y", "c1"), "exact", "paper"),
+    ("count", "--format"): (("--p", "7", "--s", "2", "--z", "zero"), "json", "tsv"),
+    ("series", "--p"): (("--z", "zero"), "7", "13"),
+    ("series", "--k"): (("--p", "7", "--z", "zero"), "1", "2"),
+    ("series", "--modulus"): (("--p", "7", "--k", "2", "--z", "c1"), "1,0,1", "3,1,1"),
+    ("series", "--generator"): (("--p", "31", "--z", "7"), "3", "11"),
+    ("series", "--z"): (("--p", "7"), "zero", "c1"),
+    ("series", "--y"): (("--p", "31"), "c1", "c2"),
+    ("series", "--n-terms"): (("--p", "7", "--z", "zero"), "3", "4"),
+    ("series", "--theta-source"): (("--p", "7", "--k", "2", "--y", "c1"), "exact", "paper"),
+    ("series", "--format"): (("--p", "7", "--z", "zero"), "json", "tsv"),
+    ("verify", "--format"): ((), "json", "tsv"),
+    ("reproduce-example", "--format"): ((), "json", "tsv"),
+}
+
+
+def _parser_options(parser: argparse.ArgumentParser):
+    """(command, option) for every option of every subcommand but --help."""
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            yield from ((command, option) for option in action.option_strings if option not in ("-h", "--help"))
+
+
+class TestNoInertOption:
+    """Every option the parser accepts changes what a call prints."""
+
+    def test_every_option_has_an_effect_entry(self):
+        assert sorted(_parser_options(cli.build_parser())) == sorted(OPTION_EFFECTS)
+
+    @pytest.mark.parametrize("command, option", sorted(OPTION_EFFECTS), ids=" ".join)
+    def test_option_changes_the_output(self, capsys, monkeypatch, command, option):
+        monkeypatch.setattr(verify, "JACOBI_SCAN_BOUND", 300)
+        rest, first, second = OPTION_EFFECTS[command, option]
+        outputs = [run_cli(capsys, command, *rest, option, value) for value in (first, second)]
+        assert outputs[0] != outputs[1]
 
 
 class _ClosedPipe(io.StringIO):

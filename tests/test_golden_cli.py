@@ -20,6 +20,12 @@ unchanged.  `verify`, `reproduce-example` and `reproduce-example
 --theta-source paper` were re-recorded when the check records lost their
 `tolerance` key, which read null on every check once the identities became
 exact; dropping that key from the old records gives the new ones.
+`constants` and `reproduce-example` no longer take `--theta-source`, which
+neither read: the first printed the same bytes with it, the second only echoed
+it.  So `constants --p 7 --k 2 --theta-source paper` (JSON and TSV) and
+`reproduce-example --theta-source paper` were re-recorded as the validation
+error "unrecognized arguments", and `reproduce-example` lost `theta_source`
+from its query; no count or check changed.
 """
 
 import hashlib

@@ -64,9 +64,7 @@ def test_verify_loads_no_floating_point_math():
 #: library API, the defining submodule for every other public name
 PUBLIC_NAMES = {
     **dict.fromkeys(diagcubic.__all__, "diagcubic"),
-    "CubeHistogram": "diagcubic.oracle",
     "CyclotomicInt": "diagcubic.oracle",
-    "RPair": "diagcubic.eisenstein",
     "brute_diagonal_naive": "diagcubic.oracle",
     "brute_twisted": "diagcubic.oracle",
     "cd_search": "diagcubic.verify",
@@ -147,6 +145,28 @@ def test_cubic_character_deleted():
     fields = importlib.import_module("diagcubic.fields")
     assert not hasattr(fields.FieldDescriptor, "cubic_character")
     assert [name for name in ("cubic_character", "_CHARACTER_VALUE", "EisensteinInt") if name in vars(fields)] == []
+
+
+#: module -> names that only wrapped what their callers already held, and a dead constant
+RETIRED_NAMES = {
+    "diagcubic.oracle": ("CubeHistogram",),
+    "diagcubic.eisenstein": ("RPair", "EI_ZERO"),
+    "diagcubic.polynomials": ("is_irreducible",),
+}
+
+
+@pytest.mark.parametrize("module", sorted(RETIRED_NAMES))
+def test_pass_through_names_deleted(module):
+    namespace = vars(importlib.import_module(module))
+    assert [name for name in RETIRED_NAMES[module] if name in namespace] == []
+
+
+def test_check_records_and_oracle_caps_carry_no_extras():
+    oracle = importlib.import_module("diagcubic.oracle")
+    verify = importlib.import_module("diagcubic.verify")
+    assert not hasattr(verify.Check, "to_dict")
+    for function in (oracle.diagonal_count_vector, oracle.brute_twisted):
+        assert "max_s" not in inspect.signature(function).parameters
 
 
 def test_star_import():

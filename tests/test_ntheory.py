@@ -106,10 +106,23 @@ class TestPrimeFactors:
         assert m == 1
 
     def test_refusal_names_the_cofactor(self):
-        # q - 1 = 1000003^5 - 1 = 66 * m: is_prime refuses m, the cofactor left after 2, 3 and 11
-        m = (1000003**5 - 1) // 66
-        with pytest.raises(ResourceError, match=f"^primality of {m} is not decided deterministically"):
+        # 1000003^5 - 1 = 66 * 45481 * 166667 * m: is_prime cannot decide the cofactor left
+        # after 2, 3 and 11, so division goes on, and the composite m outlasts the divisors
+        m = 1998862662058682131
+        assert 66 * 45481 * 166667 * m == 1000003**5 - 1
+        with pytest.raises(ResourceError, match=f"the cofactor {m} is composite$"):
             prime_factors(1000003**5 - 1)
+
+    def test_walks_past_an_undecided_cofactor(self):
+        # once 2, 3, 7, 11 and 31 are divided out of 13^30 - 1, and again after 61, the
+        # cofactor is above the Miller-Rabin limit with no prime factor up to 41
+        assert prime_factors(13**30 - 1) == (2, 3, 7, 11, 31, 61, 157, 2411, 4651, 30941, 161971, 28325071)
+
+    def test_refuses_an_undecided_cofactor_beyond_bound(self):
+        # 1000003 * 1000033 * (2^89 - 1): the cofactor stays above the Miller-Rabin limit
+        n = 1000003 * 1000033 * (2**89 - 1)
+        with pytest.raises(ResourceError, match=f"the cofactor {n} is above .*, where primality is not decided$"):
+            prime_factors(n)
 
     def test_stops_at_a_prime_cofactor(self):
         # the cofactor 2^61 - 1 is prime: no trial division up to its square root

@@ -40,23 +40,22 @@ def _chi(field, x):
 
 class TestCubeHistogram:
     def test_f4(self, f4):
-        assert cube_histogram(f4).counts == (1, 3, 0, 0)
+        assert cube_histogram(f4) == (1, 3, 0, 0)
 
     def test_f7(self, f7):
-        hist = cube_histogram(f7)
-        assert hist.counts == (1, 3, 0, 0, 0, 0, 3)
+        assert cube_histogram(f7) == (1, 3, 0, 0, 0, 0, 3)
         assert diagonal_count_vector(f7, 1)[int(f7.element([6]))] == 3
 
     def test_bijective_field(self):
-        assert cube_histogram(make_field(5)).counts == (1, 1, 1, 1, 1)
+        assert cube_histogram(make_field(5)) == (1, 1, 1, 1, 1)
 
     @pytest.mark.parametrize("p,k", [(2, 2), (7, 1), (13, 1), (2, 4), (7, 2)])
     def test_invariants(self, p, k):
         field = make_field(p, k)
         hist = cube_histogram(field)
-        assert sum(hist.counts) == field.q
-        assert hist.counts[0] == 1
-        for v, count in zip(field.elements(), hist.counts):
+        assert sum(hist) == field.q
+        assert hist[0] == 1
+        for v, count in zip(field.elements(), hist):
             if v.is_zero():
                 continue
             assert count in (0, 3)
@@ -345,7 +344,7 @@ class TestTableRoute:
         counts = [0] * field.q
         for x in field.elements():
             counts[int(x ** 3)] += 1
-        assert cube_histogram(field).counts == tuple(counts)
+        assert cube_histogram(field) == tuple(counts)
 
     def test_trace_and_psi(self, p, k):
         # the trace table against FieldElement.trace(), and the exact sums of psi(a*x)
@@ -506,7 +505,7 @@ class TestConvolutionChain:
         y = f131.g
         diagonal_count_vector(f131, 2, max_q=131)
         brute_twisted(f131, 3, y, max_q=131)
-        diagonal_count_vector(f7, oracle.MAX_S + 1, max_s=oracle.MAX_S + 1)
+        oracle._distribution(f7, oracle.MAX_S + 1)  # cached past the cap
         with pytest.raises(ResourceError, match=r"q = 131, s = 2 exceeds the cap"):
             diagonal_count_vector(f131, 2)
         with pytest.raises(ResourceError, match=r"q = 131, s = 3 exceeds the cap"):

@@ -5,7 +5,7 @@ x_1^3 + ... + x_s^3 = z over F_q, and T_s(y), the number of zeros of
 x_1^3 + ... + x_{s-1}^3 + y*x_s^3 = 0 for non-cubic y, in closed form from a
 three-term integer recurrence whose seeds are exact field constants
 (Eisenstein-integer Jacobi sums and the cubed Gauss sum).  A brute-force
-convolution oracle and numeric character sums cross-validate every formula.
+convolution oracle and exact character sums cross-validate every formula.
 
 The package root exports the library API the README documents.  Every other
 name is imported from its submodule: the witnesses and checks from

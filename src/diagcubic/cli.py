@@ -31,7 +31,8 @@ import os
 import sys
 
 from .constants import CubicData, _refuse_undefined, cubic_data
-from .counting import bijective_count, count_diagonal, count_twisted, diagonal_series, twisted_series
+from .counting import (_refuse_empty_window, _refuse_negative_s, _refuse_short_twisted, bijective_count,
+                       count_diagonal, count_twisted, diagonal_series, twisted_series)
 from .errors import DomainError, IntegrityError, ResourceError
 from .fields import NONCUBIC_CLASSES, CubicClass, FieldDescriptor, _field_order, make_field, parse_element
 from .ntheory import prime_factors
@@ -161,10 +162,7 @@ def _resolve_target(field: FieldDescriptor, text: str) -> tuple[CubicClass, str,
     """Class keyword or concrete element -> (class, canonical label, extra result keys)."""
     keyword = text.strip().lower()
     if keyword in _CLASS_KEYWORDS:
-        cls = _CLASS_KEYWORDS[keyword]
-        if cls in NONCUBIC_CLASSES and field.q % 3 != 1:
-            raise DomainError(f"classes c1/c2 are undefined for q = {field.q} = {field.q % 3} (mod 3)")
-        return cls, keyword, {}
+        return _CLASS_KEYWORDS[keyword], keyword, {}
     z = parse_element(field, text)
     if z.is_zero():
         return CubicClass.ZERO, str(z), {"cubic_class": "zero"}
@@ -190,8 +188,15 @@ def _count_refusals(args, q: int) -> None:
     if (args.z is None) == (args.y is None):
         raise DomainError("give exactly one of --z (plain target) or --y (twisted coefficient)")
     _check_output_digits(q, args.s)
-    if args.y is not None and q % 3 != 1:
-        raise DomainError(f"every element of F_{q} is a cube (q = {q % 3} mod 3): no non-cubic coefficient exists")
+    if q % 3 != 1:
+        if args.y is not None:
+            raise DomainError(f"every element of F_{q} is a cube (q = {q % 3} mod 3): no non-cubic coefficient exists")
+        if _CLASS_KEYWORDS.get(args.z.strip().lower()) in NONCUBIC_CLASSES:
+            raise DomainError(f"classes c1/c2 are undefined for q = {q} = {q % 3} (mod 3)")
+    if args.y is not None:
+        _refuse_short_twisted(args.s)
+    else:
+        _refuse_negative_s(args.s)
 
 
 def _run_count(args) -> tuple[dict, int]:
@@ -225,9 +230,10 @@ def _series_refusals(args, q: int) -> None:
         raise DomainError("give exactly one of --z or --y")
     if q % 3 != 1:
         raise DomainError(f"series require q = 1 (mod 3); q = {q} counts are q^(s-1) throughout")
+    _refuse_empty_window(args.n_terms)
     s_max = args.n_terms + 1
     _check_output_digits(q, s_max)
-    bound = len(str(q)) * s_max * (s_max + 1) // 2 if s_max > 0 else 0
+    bound = len(str(q)) * s_max * (s_max + 1) // 2
     if bound > _MAX_SERIES_DIGITS:
         raise ResourceError(
             f"a series of {args.n_terms} terms over F_{q} may print up to {bound} digits, "

@@ -21,8 +21,9 @@ pure Gauss sums gives
 
 Every constant is computed once per field, in :func:`cubic_data`, by one
 closed-form route per case.  For p = 1 (mod 3) that is the one Jacobi sum
-J, found in O(log p) by the modified Cornacchia algorithm with the r2 sign
-fixed by the congruence of Gauss's cubic theorem
+J, found in O(log p) by the modified Cornacchia algorithm from the square
+root 3*(2t + 1) of -27 mod p, t = norm(g)^((p-1)/3), with the r2 sign
+fixed by the congruence of Gauss's cubic theorem on the same t
 (:func:`~diagcubic.eisenstein.jacobi_sum_cubic`): J gives M, M gives (c, d)
 and theta, and J gives the r-pair.  For p = 2 (mod 3) it is Stickelberger's
 M.  ``cubic_data`` checks on every call that (c, d) meets the conditions
@@ -104,7 +105,8 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
     * p = 1 (mod 3): one Jacobi sum J over F_p, taken with the prime-field
       generator norm(g) so that class labels, theta and the r2 sign agree,
       gives M = (-1)^(k-1) * J^k and the r-pair.  J comes from the modified
-      Cornacchia algorithm and the r2 congruence in O(log p).
+      Cornacchia algorithm and the r2 congruence, both on one cube root of
+      unity mod p, in O(log p).
     * p = 2 (mod 3): q = 1 (mod 3) forces k = 2m, and Stickelberger's pure
       Gauss sum gives M = (-1)^(m-1) * p^m, so c = 2M, d = 0 and theta = 0;
       F_p has no cubic character, hence no r-pair.

@@ -165,14 +165,28 @@ def _term_at(n: int, seeds: tuple[int, int, int], q: int, c: int) -> int:
     return _q_power(q, m) * (r0 * x1 + r1 * x2 + r2 * x3)
 
 
+def _refuse_negative_s(s: int) -> None:
+    if s < 0:
+        raise DomainError("s must be nonnegative")
+
+
+def _refuse_short_twisted(s: int) -> None:
+    if s < 2:
+        raise DomainError("twisted counts need at least two variables")
+
+
+def _refuse_empty_window(n: int) -> None:
+    if n < 1:
+        raise DomainError("need at least one coefficient")
+
+
 def count_diagonal(data: CubicData, s: int, target: CubicClass) -> int:
     """N_s for a target given by its cubic class (CubicClass.ZERO for z = 0).
 
     s = 0 is the empty-tuple convention (1 for the zero target, else 0),
     provided as plumbing beyond the series proper.
     """
-    if s < 0:
-        raise DomainError("s must be nonnegative")
+    _refuse_negative_s(s)
     if s == 0:
         return 1 if target is CubicClass.ZERO else 0
     return _count(data, s, s - 1, excess_seeds(data, target), target)
@@ -194,8 +208,7 @@ def bijective_count(q: int, s: int, zero_target: bool) -> int:
     convention)."""
     if q % 3 == 1:
         raise DomainError(f"q = {q} = 1 (mod 3): cubing is not a bijection")
-    if s < 0:
-        raise DomainError("s must be nonnegative")
+    _refuse_negative_s(s)
     if s == 0:
         return 1 if zero_target else 0
     return q ** (s - 1)
@@ -214,16 +227,14 @@ def count_twisted(data: CubicData, s: int, y_cls: CubicClass) -> int:
     T_s(y) = N_{s-1}(0) + (q-1) * N_{s-1}(y)."""
     if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
-    if s < 2:
-        raise DomainError("twisted counts need at least two variables")
+    _refuse_short_twisted(s)
     return _count(data, s, s - 2, _twisted_seeds(data, y_cls), y_cls)
 
 
 def diagonal_series(data: CubicData, target: CubicClass, n: int) -> SeriesWindow:
     """First n coefficients N_1..N_n of the counting series for one target,
     generated by the integer recurrence (never by power-series division)."""
-    if n < 1:
-        raise DomainError("need at least one coefficient")
+    _refuse_empty_window(n)
     coeffs = _window(excess_seeds(data, target), data.q, data.c, 1, n)
     return SeriesWindow(target=target, coefficients=coeffs, constants=data)
 
@@ -233,6 +244,5 @@ def twisted_series(data: CubicData, y_cls: CubicClass, n: int) -> tuple[int, ...
     recurrence from the same seeds as :func:`count_twisted`."""
     if y_cls not in NONCUBIC_CLASSES:
         raise DomainError(f"the scaled variable's coefficient must be non-cubic, got {y_cls}")
-    if n < 1:
-        raise DomainError("need at least one coefficient")
+    _refuse_empty_window(n)
     return _window(_twisted_seeds(data, y_cls), data.q, data.c, data.q, n)

@@ -15,20 +15,22 @@ to w.  J has norm p, its w-coefficient is divisible by 3, and 2J = r1 +
 r1 = 1 (mod 3), and the sign of r2 pinned by the congruence
 9*r2 = (2*t + 1)*r1 (mod p) for t = gen^((p-1)/3) mod p.
 
-Production route (:func:`jacobi_sum_cubic`, O(log p)): the modified
-Cornacchia algorithm solves 4p = L^2 + 27*M^2, r1 = +-L is fixed by
-r1 = 1 (mod 3) and r2 = +-M by the congruence (Gauss's cubic theorem), and
-J = (r1 + 3*r2)/2 + 3*r2*w.  Its witness, the direct O(p) sum above
-(:func:`~diagcubic.verify.jacobi_sum_direct`, p <= 10^7), lives in
-``verify``, which with the tests requires both routes to agree.
+Production route (:func:`jacobi_sum_cubic`, O(log p)): t is a cube root of
+unity, so 3*(2t + 1) is a square root of -27 mod p, and from it the modified
+Cornacchia algorithm solves 4p = L^2 + 27*M^2; r1 = +-L is fixed by
+r1 = 1 (mod 3) and r2 = +-M by the congruence on the same t (Gauss's cubic
+theorem), and J = (r1 + 3*r2)/2 + 3*r2*w.  Its witness, the direct O(p)
+sum above (:func:`~diagcubic.verify.jacobi_sum_direct`, p <= 10^7), lives
+in ``verify``, which with the tests requires both routes to agree.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .ntheory import cornacchia4, is_prime, prime_factors
+from .ntheory import is_prime, prime_factors
 
 
 class EisensteinInt(NamedTuple):
@@ -101,13 +103,30 @@ def _verify_generator_mod_p(gen: int, p: int) -> None:
             raise DomainError(f"{gen} does not generate the units mod {p}")
 
 
+def _cornacchia(p: int, root: int) -> tuple[int, int] | None:
+    """Nonnegative (L, M) with L^2 + 27*M^2 = 4p, or None if there are none:
+    the Euclidean algorithm on (2p, root), for root an odd square root of -27
+    mod p, until the remainder falls to at most 2*sqrt(p) (the modified
+    Cornacchia algorithm; Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.3).  Takes O(log p) steps."""
+    a, b, limit = 2 * p, root, isqrt(4 * p)
+    while b > limit:
+        a, b = b, a % b
+    rest, rem = divmod(4 * p - b * b, 27)
+    m = isqrt(rest)
+    if rem or m * m != rest:
+        return None
+    return b, m
+
+
 def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
     """Cubic Jacobi sum over F_p with chi(gen) = w, in O(log p) steps once
     the generator is checked (which factors p - 1).
 
-    The modified Cornacchia algorithm solves 4p = L^2 + 27*M^2; r1 = +-L is
-    the sign with r1 = 1 (mod 3), and r2 = +-M the one sign meeting
-    9*r2 = (2*t + 1)*r1 (mod p) for t = gen^((p-1)/3).  Then
+    t = gen^((p-1)/3) meets t^2 + t + 1 = 0, so the odd one of +-3*(2t + 1)
+    is a square root of -27 mod p, from which :func:`_cornacchia` solves
+    4p = L^2 + 27*M^2.  r1 = +-L is the sign with r1 = 1 (mod 3), and r2 = +-M
+    the one sign meeting 9*r2 = (2*t + 1)*r1 (mod p).  Then
     J = (r1 + 3*r2)/2 + 3*r2*w.  No solution, no sign meeting the congruence,
     or a norm other than p raises IntegrityError.
     """
@@ -117,12 +136,13 @@ def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
         raise DomainError(f"no cubic character mod {p}: p = {p % 3} (mod 3)")
     _verify_generator_mod_p(gen, p)
 
-    solution = cornacchia4(27, p)
+    t = pow(gen, (p - 1) // 3, p)
+    root = 3 * (2 * t + 1) % p
+    solution = _cornacchia(p, root if root % 2 else p - root)
     if solution is None:
         raise IntegrityError(f"Cornacchia finds no solution of 4*{p} = L^2 + 27*M^2")
     big_l, big_m = solution
     r1 = big_l if big_l % 3 == 1 else -big_l
-    t = pow(gen, (p - 1) // 3, p)
     signs = [r2 for r2 in (big_m, -big_m) if (9 * r2 - (2 * t + 1) * r1) % p == 0]
     if len(signs) != 1:
         raise IntegrityError(

@@ -1,8 +1,6 @@
-"""Integer number-theory helpers: primality, factoring, square roots mod p,
-and the modified Cornacchia algorithm."""
+"""Integer number-theory helpers: primality, factoring and the sieve."""
 
 from functools import lru_cache
-from math import isqrt
 
 from .errors import ResourceError
 
@@ -112,54 +110,3 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p by Tonelli-Shanks, or None
-    if a is not a square mod p."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        # the least i with t^(2^i) = 1; i < m because t has order 2^i
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, x = i, b * b % p, t * b * b % p, x * b % p
-    return x
-
-
-def cornacchia4(d: int, p: int) -> tuple[int, int] | None:
-    """Nonnegative (x, y) with x^2 + d*y^2 = 4p, or None if there are none.
-
-    The modified Cornacchia algorithm (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 1.5.3) for an odd prime p and d > 0 with
-    -d = 0 or 1 (mod 4): a square root of -d mod p of the parity of d,
-    then the Euclidean algorithm on (2p, root) until the remainder falls to
-    at most 2*sqrt(p).  Takes O(log p) steps.
-    """
-    x0 = sqrt_mod(-d, p)
-    if x0 is None:
-        return None
-    if (x0 - d) % 2:
-        x0 = p - x0
-    a, b, limit = 2 * p, x0, isqrt(4 * p)
-    while b > limit:
-        a, b = b, a % b
-    rest, rem = divmod(4 * p - b * b, d)
-    y = isqrt(rest)
-    if rem or y * y != rest:
-        return None
-    return b, y

@@ -428,6 +428,12 @@ ARGV_ONLY_REFUSALS = [
     (("series", "--p", "13", "--k", "24", "--z", "zero", "--y", "c1"), "validation", "give exactly one of --z or --y"),
     (("series", "--p", "13", "--k", "24", "--z", "zero", "--n-terms", "2000"), "resource",
      f"a series of 2000 terms over F_{Q_13_24} may print up to 54081027 digits, above the total cap of 10000000"),
+    (("count", "--p", "3", "--k", "52", "--s", "2", "--z", "c1"), "validation",
+     f"classes c1/c2 are undefined for q = {Q_3_52} = 0 (mod 3)"),
+    (("series", "--p", "13", "--k", "24", "--z", "c0", "--n-terms", "0"), "validation", "need at least one coefficient"),
+    (("count", "--p", "13", "--k", "24", "--s", "-1", "--z", "zero"), "validation", "s must be nonnegative"),
+    (("count", "--p", "13", "--k", "24", "--s", "1", "--y", "c1"), "validation",
+     "twisted counts need at least two variables"),
 ]
 
 #: (argv, message): the field's own checks, and factoring q - 1 (p - 1 here has the

@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,10 +148,35 @@ class TestCornacchiaRoute:
             e = next(e for e in range(2, p, 3) if gcd(e, p - 1) == 1)
             assert jacobi_sum_direct(p, pow(gen, e, p)) == jacobi_sum_direct(p, gen).conjugate()
 
+    def test_all_small_primes(self):
+        # (|r1|, |r2|) is the one solution of x^2 + 27y^2 = 4p for p = 1 (mod 3); other p have none
+        for p in primes_up_to(5_000):
+            brute = [(x, y) for y in range(isqrt(4 * p // 27) + 1)
+                     for x in [isqrt(4 * p - 27 * y * y)] if x * x + 27 * y * y == 4 * p]
+            if p % 3 == 1:
+                gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
+                r1, r2 = r_pair(jacobi_sum_cubic(p, gen), p)
+                assert brute == [(abs(r1), abs(r2))], p
+            else:
+                assert brute == [], p
+                with pytest.raises(DomainError):
+                    jacobi_sum_cubic(p, 2)
+
     def test_large_prime(self):
         j = jacobi_sum_cubic(1_000_000_000_039, 3)
         assert j == EisensteinInt(-730210, -1139763)
         assert r_pair(j, 1_000_000_000_039) == (-320657, -379921)
+
+    @pytest.mark.parametrize("p, gen, pair", [
+        (2**61 - 1, 37, (3010608196, -76886238)),
+        (3 * 2**30 + 1, 5, (-98303, -10923)),
+        (1_000_000_000_000_012_003, 3, (1993473928, -31068442)),
+        (1_000_000_000_000_000_000_003_459, 3, (-1034370442256, 329425863530)),
+        (3_000_000_000_000_000_000_005_599, 3, (-1808327679647, 568622474609)),
+    ])
+    def test_large_prime_r_pairs(self, p, gen, pair):
+        # recorded while the root of -27 was found by Tonelli-Shanks; test_large_prime pins p = 10^12 + 39
+        assert r_pair(jacobi_sum_cubic(p, gen), p) == pair
 
     def test_domain_errors_at_large_p(self):
         with pytest.raises(DomainError):
@@ -173,7 +198,7 @@ class TestCornacchiaRoute:
         # (5, 1) meet the congruence with neither sign, (4, 33) meets it but
         # not the norm
         assert jacobi_sum_cubic(31, 3) == EisensteinInt(5, 6)
-        monkeypatch.setattr(eisenstein, "cornacchia4", lambda d, p: solution)
+        monkeypatch.setattr(eisenstein, "_cornacchia", lambda p, root: solution)
         with pytest.raises(IntegrityError):
             jacobi_sum_cubic(31, 3)
 

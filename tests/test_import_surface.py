@@ -161,6 +161,12 @@ def test_pass_through_names_deleted(module):
     assert [name for name in RETIRED_NAMES[module] if name in namespace] == []
 
 
+def test_square_root_search_deleted():
+    # Cornacchia's root of -27 comes from the cube root of unity jacobi_sum_cubic already holds
+    namespace = vars(importlib.import_module("diagcubic.ntheory"))
+    assert [name for name in ("sqrt_mod", "cornacchia4") if name in namespace] == []
+
+
 def test_check_records_and_oracle_caps_carry_no_extras():
     oracle = importlib.import_module("diagcubic.oracle")
     verify = importlib.import_module("diagcubic.verify")

@@ -1,11 +1,10 @@
-import random
 from math import prod
 
 import pytest
 
 from diagcubic import ResourceError
 from diagcubic import ntheory
-from diagcubic.ntheory import cornacchia4, is_prime, prime_factors, primes_up_to, sqrt_mod
+from diagcubic.ntheory import is_prime, prime_factors, primes_up_to
 
 
 def _trial_division(n):
@@ -142,45 +141,3 @@ class TestPrimeFactors:
         monkeypatch.setattr(ntheory, "_MAX_TRIAL_DIVISOR", 1008)
         with pytest.raises(ResourceError):
             prime_factors.__wrapped__(1009 * 1013 * 2)
-
-
-class TestSqrtMod:
-    def test_every_residue_small_primes(self):
-        for p in primes_up_to(300)[1:]:
-            for a in range(p):
-                if a == 0 or pow(a, (p - 1) // 2, p) == 1:
-                    x = sqrt_mod(a, p)
-                    assert x * x % p == a
-                else:
-                    assert sqrt_mod(a, p) is None
-
-    def test_large_primes(self):
-        rng = random.Random(5)
-        # 998244353 - 1 = 119 * 2^23 exercises the Tonelli-Shanks inner loop
-        for p in (998244353, 2**61 - 1, 1_000_000_000_039):
-            for _ in range(20):
-                a = pow(rng.randrange(1, p), 2, p)
-                x = sqrt_mod(a, p)
-                assert x * x % p == a
-
-
-class TestCornacchia:
-    def test_all_small_primes(self):
-        for p in primes_up_to(5_000)[1:]:
-            found = cornacchia4(27, p)
-            brute = [(x, y) for y in range(0, 2 * p) if 27 * y * y <= 4 * p
-                     for x in [int((4 * p - 27 * y * y) ** 0.5 + 0.5)] if x * x + 27 * y * y == 4 * p]
-            if p % 3 == 1:
-                assert found in brute and len(brute) == 1
-            else:
-                assert found is None and not brute
-
-    def test_other_discriminants(self):
-        # d = 3 (x^2 + 3y^2 = 4p for p = 1 mod 3) and d = 4 (x^2 + 4y^2 = 4p for p = 1 mod 4)
-        for p in (7, 13, 31, 37, 1_000_000_000_039):
-            x, y = cornacchia4(3, p)
-            assert x * x + 3 * y * y == 4 * p
-        for p in (5, 13, 17, 29, 1_000_000_000_061):
-            x, y = cornacchia4(4, p)
-            assert x * x + 4 * y * y == 4 * p
-        assert cornacchia4(4, 7) is None

@@ -380,6 +380,8 @@ class FieldDescriptor:
         Computed without a discrete logarithm: z ** ((q-1)/3) is a cube root
         of unity and equals (g ** ((q-1)/3)) ** i exactly for the class index i.
         """
+        if z.field._sig != self._sig:
+            raise DomainError("elements of different fields")
         if self.q % 3 != 1:
             raise DomainError(f"q = {self.q} = {self.q % 3} (mod 3): every element is a cube, classes are undefined")
         if z.is_zero():

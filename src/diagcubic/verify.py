@@ -27,22 +27,16 @@ so the modules a count loads hold one route per quantity:
 the Chowla-Cowles-Cowles mod-4 rule.
 
 `full_report` returns a JSON-serializable report; any check with status
-"fail" marks the suite failed, "warn" entries are informational.  Where
-``os.fork`` exists, at least two CPUs are usable and the caller runs no second
-thread, it runs the constants-integrity group, whose Jacobi scan is most of the
-suite's time, in one forked child while the other groups run in the caller;
-otherwise every group runs in the caller, that one last.  The report and any
-exception raised are the same either way.
+"fail" marks the suite failed, "warn" entries are informational.  It runs the
+groups in the calling process, one after another in the order above, so the
+exception it raises is that of the first group to fail.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, isqrt
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import counting, oracle
 from .constants import CubicData, cubic_data, delta
@@ -577,103 +571,17 @@ def check_bijective_fields() -> list[Check]:
 # the full suite
 
 
-_Group = Callable[[], list[Check]]
-
-
-@contextmanager
-def _forked(group: _Group) -> Iterator[_Group]:
-    """Run group() in a forked child and yield ``join``, which returns its
-    checks or raises its exception.  The child pickles its outcome into a pipe
-    and ends in os._exit, so it never flushes the stdio it inherited or runs
-    atexit handlers.  A child not joined when the block exits is killed; every
-    child is reaped.  Without os.fork, two usable CPUs and a single thread (a
-    fork copies only the calling thread, whatever locks the others hold), or
-    if the fork fails, ``join`` is group itself: the group runs in the caller."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if not hasattr(os, "fork") or threading.active_count() > 1 or usable < 2:
-        yield group
-        return
-    import pickle  # loaded only by a report that forks
-    import signal
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had
-        os.close(read_fd)
-        os.close(write_fd)
-        yield group
-        return
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, group())
-            except Exception as exc:
-                outcome = (False, exc)
-            with open(write_fd, "wb") as out:
-                pickle.dump(outcome, out)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    reaped = False
-
-    def join() -> list[Check]:
-        nonlocal reaped
-        data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        try:
-            ok, value = pickle.loads(data)
-        except Exception:
-            name = getattr(group, "func", group).__name__
-            how = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
-                   else f"exit code {os.WEXITSTATUS(status)}")
-            raise IntegrityError(
-                f"the child process running {name} ended without a result: wait status {status}, {how}"
-            ) from None
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield join
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        pipe.close()
-
-
-def _run_groups(groups: list[_Group], forked: int) -> list[Check]:
-    """Every group's checks, in order.  The group at index ``forked`` runs
-    through :func:`_forked`, beside the others or after them; the exception
-    raised is the one the groups run one after another would raise, that of
-    the first group in order to fail."""
-    with _forked(groups[forked]) as join:
-        before = [check for group in groups[:forked] for check in group()]
-        try:
-            after = [check for group in groups[forked + 1:] for check in group()]
-        except Exception:
-            join()  # raises first if the forked group fails
-            raise
-        return before + join() + after
-
-
 def full_report(jacobi_bound: int | None = None, mod4_prime_bound: int | None = None) -> dict:
-    groups = [
-        check_example_reproduction,
-        check_oracle_equivalence,
-        partial(check_constants_integrity, jacobi_bound if jacobi_bound is not None else JACOBI_SCAN_BOUND),
-        check_numeric_identities,
-        partial(check_mod4_sign_rule, mod4_prime_bound if mod4_prime_bound is not None else MOD4_PRIME_BOUND),
-        check_even_degree_adjudication,
-        check_bijective_fields,
+    """The seven groups' checks, in the order above; the first group to raise propagates its exception."""
+    checks = [
+        *check_example_reproduction(),
+        *check_oracle_equivalence(),
+        *check_constants_integrity(jacobi_bound if jacobi_bound is not None else JACOBI_SCAN_BOUND),
+        *check_numeric_identities(),
+        *check_mod4_sign_rule(mod4_prime_bound if mod4_prime_bound is not None else MOD4_PRIME_BOUND),
+        *check_even_degree_adjudication(),
+        *check_bijective_fields(),
     ]
-    checks = _run_groups(groups, 2)  # the Jacobi scan, most of the suite's time
     passed = sum(1 for c in checks if c.status == "pass")
     failed = sum(1 for c in checks if c.status == "fail")
     warned = sum(1 for c in checks if c.status == "warn")

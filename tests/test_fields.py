@@ -293,6 +293,12 @@ class TestCubicClass:
         with pytest.raises(DomainError):
             f5.cube_class(f5.element([2]))
 
+    def test_rejects_an_element_of_another_field(self, f7, f13, f49):
+        # a caller's domain error, not an internal one: F_7's 2 is not F_49's 2
+        for field, foreign in ((f7, f13.element([2])), (f7, f49.g), (f49, f7.element([2]))):
+            with pytest.raises(DomainError, match="^elements of different fields$"):
+                field.cube_class(foreign)
+
     @pytest.mark.parametrize("p,k", [(2, 2), (7, 1), (13, 1), (2, 4), (5, 2), (7, 2)])
     def test_class_sizes(self, p, k):
         field = make_field(p, k)

@@ -161,6 +161,12 @@ def test_pass_through_names_deleted(module):
     assert [name for name in RETIRED_NAMES[module] if name in namespace] == []
 
 
+def test_fork_path_deleted():
+    # full_report runs every check group in the caller: no child process, no thread bookkeeping
+    namespace = vars(importlib.import_module("diagcubic.verify"))
+    assert [name for name in ("_forked", "_run_groups", "os", "threading") if name in namespace] == []
+
+
 def test_square_root_search_deleted():
     # Cornacchia's root of -27 comes from the cube root of unity jacobi_sum_cubic already holds
     namespace = vars(importlib.import_module("diagcubic.ntheory"))

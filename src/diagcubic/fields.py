@@ -12,6 +12,11 @@ under the ordering of coefficient vectors as base-p integers.  Either can be
 overridden explicitly; the cubic class labels C1/C2 (and every sign derived
 from them) are relative to the chosen g.
 
+The norm N(x) to F_p is the resultant of the modulus and x, with no field
+power.  As x ** ((q-1)/l) = N(x) ** ((p-1)/l) for every l | p - 1, the
+generator search and, for p = 1 (mod 3), the cubic classes read those
+powers off the norm, mod p.
+
 Irreducibility is decided by Ben-Or's test (:mod:`diagcubic.polynomials`),
 and each field tests its modulus once: the canonical one in the candidate
 scan of :func:`find_irreducible`, a given one in the constructor.  The
@@ -133,11 +138,12 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     no_binomial = p > 2 and (any((p - 1) % r for r in prime_factors(k)) or (k % 4 == 0 and p % 4 != 1))
     start = p if no_binomial else 0
     spent = 0
-    for tested, poly in enumerate(_monic_polys(p, k, start), start):
+    for tested, poly in enumerate(_monic_polys(p, k, start)):
         if spent + full > cap:
+            skipped = f" after the {p} binomials, skipped as none is irreducible" if start else ""
             raise ResourceError(
                 f"no irreducible polynomial of degree {k} over F_{p} among the first {tested} "
-                f"candidates, charged {spent}: one more test of cost {full} would pass the cap of {cap}"
+                f"candidates{skipped}, charged {spent}: one more test of cost {full} would pass the cap of {cap}"
             )
         irreducible, cost = polynomials.ben_or(poly, p)
         if irreducible:
@@ -213,10 +219,15 @@ class FieldElement:
 
     def norm(self) -> int:
         """Norm to the prime field: the product of all k conjugates, as an
-        integer in [0, p).  Equals x ** ((q-1)/(p-1)) for every x."""
+        integer in [0, p).  Equals x ** ((q-1)/(p-1)) for every x, but takes
+        no field power: for k >= 2 it is the resultant Res(f, x) of the
+        modulus f and x, an O(k^2) Euclid mod p."""
         field = self.field
-        y = self ** ((field.q - 1) // (field.p - 1))
-        return y._prime_subfield_value("norm")
+        if field.k == 1:
+            return self.coeffs[0]
+        from .polynomials import _resultant  # loaded by every extension field
+
+        return _resultant(field.modulus, self.coeffs, field.p)
 
     def trace(self) -> int:
         """Trace to the prime field: the sum of all k conjugates, in [0, p)."""
@@ -226,12 +237,9 @@ class FieldElement:
         for _ in range(field.k - 1):
             frob = frob ** field.p
             acc = acc + frob
-        return acc._prime_subfield_value("trace")
-
-    def _prime_subfield_value(self, what: str) -> int:
-        if any(c != 0 for c in self.coeffs[1:]):
-            raise IntegrityError(f"{what} landed outside the prime subfield: {self}")
-        return self.coeffs[0]
+        if any(c != 0 for c in acc.coeffs[1:]):
+            raise IntegrityError(f"trace landed outside the prime subfield: {acc}")
+        return acc.coeffs[0]
 
     def __int__(self) -> int:
         """Base-p integer encoding of the coefficient vector."""
@@ -288,6 +296,7 @@ class FieldDescriptor:
     Use :func:`make_field` rather than calling this constructor directly.
     """
 
+    #: _cube_roots: the base-p codes of 1, h and h^2 for h = g ** ((q-1)/3) when q = 1 (mod 3)
     __slots__ = ("p", "k", "q", "modulus", "g", "_sig", "_cube_roots")
 
     def __init__(
@@ -318,11 +327,14 @@ class FieldDescriptor:
                 raise DomainError(f"{g} does not generate the multiplicative group of F_{self.q}")
         self.g = g
 
-        if self.q % 3 == 1:
-            h = g ** ((self.q - 1) // 3)
-            self._cube_roots = (self.one, h, h * h)
-        else:
+        if self.q % 3 != 1:
             self._cube_roots = None
+        elif p % 3 == 1:  # h = N(g) ** ((p-1)/3) lies in F_p
+            t = pow(g.norm(), (p - 1) // 3, p)
+            self._cube_roots = (1, t, t * t % p)
+        else:
+            h = g ** ((self.q - 1) // 3)
+            self._cube_roots = (1, int(h), int(h * h))
 
     # -- element construction -------------------------------------------------
 
@@ -367,10 +379,23 @@ class FieldDescriptor:
         return _mul_mod(a, b, self.modulus, self.p)
 
     def _has_full_order(self, x: FieldElement) -> bool:
+        """Whether x has order q - 1, tested on the norm first (see :func:`find_generator`)."""
         if x.is_zero():
             return False
-        n = self.q - 1
-        return all((x ** (n // ell)) != self.one for ell in prime_factors(n))
+        p, n = self.p, self.q - 1
+        norm = x.norm()
+        rest, big = [], 1
+        for ell in prime_factors(n):
+            if (p - 1) % ell:
+                rest.append(ell)
+                big *= ell
+            elif pow(norm, (p - 1) // ell, p) == 1:
+                return False
+        if not rest:
+            return True
+        y = x ** (n // big)
+        one = self.one
+        return y != one and all(y ** (big // ell) != one for ell in rest)
 
     # -- cubic structure --------------------------------------------------------
 
@@ -379,6 +404,8 @@ class FieldDescriptor:
 
         Computed without a discrete logarithm: z ** ((q-1)/3) is a cube root
         of unity and equals (g ** ((q-1)/3)) ** i exactly for the class index i.
+        For p = 1 (mod 3) it is read as N(z) ** ((p-1)/3) mod p, with no
+        field power.
         """
         if z.field._sig != self._sig:
             raise DomainError("elements of different fields")
@@ -386,14 +413,12 @@ class FieldDescriptor:
             raise DomainError(f"q = {self.q} = {self.q % 3} (mod 3): every element is a cube, classes are undefined")
         if z.is_zero():
             return CubicClass.ZERO
-        w = z ** ((self.q - 1) // 3)
-        one, h, h2 = self._cube_roots
-        if w == one:
-            return CubicClass.C0
-        if w == h:
-            return CubicClass.C1
-        if w == h2:
-            return CubicClass.C2
+        if self.p % 3 == 1:
+            w = pow(z.norm(), (self.p - 1) // 3, self.p)
+        else:
+            w = int(z ** ((self.q - 1) // 3))
+        if w in self._cube_roots:
+            return NONZERO_CLASSES[self._cube_roots.index(w)]
         raise IntegrityError(f"{z} ** ((q-1)/3) is not a cube root of unity")
 
     def representative(self, cls: CubicClass) -> FieldElement:
@@ -429,8 +454,13 @@ def find_generator(field: FieldDescriptor) -> FieldElement:
     For k >= 2 the search starts at code p: the codes below p are the prime
     subfield, whose units have order dividing p - 1 < q - 1.  Verification is
     exact: a unit x has order q - 1 iff x ** ((q-1)/l) != 1 for every prime
-    l dividing q - 1.  A search that tests more than
-    ``_MAX_GENERATOR_CANDIDATES`` candidates raises ResourceError.
+    l dividing q - 1.  The primes l | p - 1 are tested first, on the norm
+    (N(x) ** ((p-1)/l) mod p), and only a candidate whose norm generates
+    F_p^* takes field powers: one to (q-1)/L, L the product of the other
+    primes, then one per prime on the result (Shoup, *A Computational
+    Introduction to Number Theory and Algebra*, on finding generators).  A
+    search that tests more than ``_MAX_GENERATOR_CANDIDATES`` candidates
+    raises ResourceError.
     """
     start = 1 if field.k == 1 else field.p
     stop = start + _MAX_GENERATOR_CANDIDATES

@@ -1,12 +1,15 @@
-"""Polynomials over F_p: Ben-Or's irreducibility test and the cap on its cost.
+"""Polynomials over F_p: Ben-Or's irreducibility test, the cap on its cost,
+and the resultant.
 
 Polynomials are little-endian coefficient sequences (constant term first)
 with entries in [0, p).  :func:`ben_or` decides whether a monic f of
 degree k is irreducible in about k^2 * (k + log2 p) coefficient operations
 (Ben-Or, FOCS 1981; Shoup, *A Computational Introduction to Number Theory
 and Algebra*, ch. 20), on the one product and power mod f of the fields.
-:mod:`diagcubic.fields` imports this module only when it builds an
-extension field, so a prime-field call never loads it.
+One Euclid, :func:`_resultant`, serves both Ben-Or's gcd test and the norm
+of a field element, Res(f, x).  :mod:`diagcubic.fields` imports this
+module only when it builds an extension field, so a prime-field call never
+loads it.
 """
 
 from __future__ import annotations
@@ -32,18 +35,32 @@ def _trim(poly: list[int]) -> list[int]:
     return poly
 
 
-def _is_coprime(a: Sequence[int], b: Sequence[int], p: int) -> bool:
-    """Whether gcd(a, b) = 1 over F_p, by Euclid; a must be nonzero."""
+def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Res(a, b) mod p by Euclid, for a of positive degree; Res(a, 0) = 0.
+
+    Each step divides a by b with remainder r and uses
+    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r),
+    ending at Res(a, c) = c^(deg a) for a nonzero constant c.  It is nonzero
+    exactly when gcd(a, b) = 1, and for a monic a it is the product of b
+    over the roots of a, so Res(f, x) is the norm of the element x of
+    F_p[t]/(f).
+    """
     a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        inv, db = pow(b[-1], -1, p), len(b) - 1
-        for i in range(len(a) - 1, db - 1, -1):  # a mod b, top term first
+    res = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for i in range(da, db - 1, -1):  # a mod b, top term first
             c = a[i] * inv % p
             if c:
                 for j, bj in enumerate(b, i - db):
                     a[j] -= c * bj
-        a, b = b, _trim([c % p for c in a[:db]])
-    return len(a) == 1
+        r = _trim([c % p for c in a[:db]])
+        if not r:
+            return 0
+        res = res * pow(b[-1], da - len(r) + 1, p) * (-1 if da & db & 1 else 1) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p if b else 0
 
 
 def irreducibility_cost(p: int, k: int) -> int:
@@ -106,6 +123,6 @@ def ben_or(f: Sequence[int], p: int) -> tuple[bool, int]:
         h_minus_x = list(h)
         h_minus_x[1] = (h_minus_x[1] - 1) % p
         steps += 1
-        if not _is_coprime(f, h_minus_x, p):
+        if not _resultant(f, h_minus_x, p):  # gcd(f, h - x) != 1
             return False, (2 * k * k + 64) * steps
     return True, (2 * k * k + 64) * steps

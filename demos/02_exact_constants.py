@@ -28,7 +28,7 @@ generator) and the brute-force oracle confirms it; see demo 03.
 """)
 
 print("== the Jacobi sum is the exact carrier ==")
-j31 = jacobi_sum_cubic(31, 3)
+j31 = jacobi_sum_cubic(31, pow(3, 10, 31))  # chi is fixed by t = 3^((31-1)/3)
 print("J over F_31 with chi(3) = w:", j31, " norm =", j31.norm())
 print("(r1, r2) from 2J = r1 + 3*sqrt(3)*r2*i:", r_pair(j31, 31))
 

@@ -45,6 +45,6 @@ for p, k in ((7, 1), (31, 1), (7, 2), (2, 6)):
     show("sum over a of psi(a*x) = q*[x = 0]",
          all(orthogonality_sum(field, x) == (q if x.is_zero() else 0) for x in field.elements()))
     if k == 1:
-        j_sum = jacobi_sum_cubic(p, int(field.g))
+        j_sum = jacobi_sum_cubic(p, pow(int(field.g), (p - 1) // 3, p))
         show(f"G^2 = J * G-bar with J = {j_sum}", g_sum * g_sum == g_conj * j_sum)
     print()

@@ -11,7 +11,7 @@ together with a sign theta in {-1, 0, +1} that selects which square root of
 Gauss sum divided by q, which lives in Z[w]:
 
     M = G^3 / q = (-1)^(k-1) * J^k          (p = 1 mod 3, J the cubic Jacobi
-                                             sum over F_p with chi'(norm(g)) = w)
+                                             sum over F_p for the field's t)
 
 and, writing M = A + B*w: c = 2A - B, d = |B| / 3, theta = sgn(B).  For
 p = 2 (mod 3), q = 1 (mod 3) forces k = 2m, and Stickelberger's theorem on
@@ -20,25 +20,25 @@ pure Gauss sums gives
     M = (-1)^(m-1) * p^m,                   so c = 2M, d = 0, theta = 0.
 
 Every constant is computed once per field, in :func:`cubic_data`, by one
-closed-form route per case.  For p = 1 (mod 3) that is the one Jacobi sum
-J, found in O(log p) by the modified Cornacchia algorithm from the square
-root 3*(2t + 1) of -27 mod p, t = norm(g)^((p-1)/3), with the r2 sign
-fixed by the congruence of Gauss's cubic theorem on the same t
+closed-form route per case.  For p = 1 (mod 3) that is the one Jacobi sum J,
+found in O(log p) by the modified Cornacchia algorithm from the square root
+3*(2t + 1) of -27 mod p and the r2 sign fixed by Gauss's cubic congruence,
+both on the field's cube root of unity t
 (:func:`~diagcubic.eisenstein.jacobi_sum_cubic`): J gives M, M gives (c, d)
 and theta, and J gives the r-pair.  For p = 2 (mod 3) it is Stickelberger's
-M.  ``cubic_data`` checks on every call that (c, d) meets the conditions
-above and is tied to M.  The witnesses live in :mod:`diagcubic.verify`,
-next to the checks that run them: the Diophantine search
-:func:`~diagcubic.verify.cd_search` (O(sqrt q) steps, refused above q of
-about 6.75 * 10^12), whose (c, d) must equal the pair read off M, and the
-direct O(p) Jacobi sum.
+M.  ``cubic_data`` checks on every call that (c, d) meets the conditions above
+and is tied to M.  The witnesses live in :mod:`diagcubic.verify`, next to the
+checks that run them: the Diophantine search
+:func:`~diagcubic.verify.cd_search` (O(sqrt q) steps, refused above q of about
+6.75 * 10^12), whose (c, d) must equal the pair read off M, and the direct
+O(p) Jacobi sum.
 
-A second prediction of theta ("theta_paper", the published parity rule) is
-computed independently: 0 for even k, and the sign of Im((r1+3*sqrt(3)*r2*i)^k)
-for odd k.  The two rules agree for odd k but disagree when p = 1 (mod 3) and
-k is even (e.g. q = 49), where the exact path gives a nonzero theta and the
-brute-force oracle confirms it.  Both values are reported; the counts read
-only the exact one.
+"theta_paper" reports the published parity rule: 0 for even k, and for odd k
+the sign of Im((r1+3*sqrt(3)*r2*i)^k) = Im((2J)^k), which is theta as M = J^k
+(witness: :func:`~diagcubic.verify.theta_sign_rule`).  The rules disagree when
+p = 1 (mod 3) and k is even (e.g. q = 49), where the exact path gives a
+nonzero theta and the brute-force oracle confirms it.  Both values are
+reported; the counts read only the exact one.
 """
 
 from __future__ import annotations
@@ -66,19 +66,6 @@ class CubicData(NamedTuple):
     gauss_cubed_over_q: EisensteinInt
 
 
-def theta_sign_rule(k: int, r1: int, r2: int) -> int:
-    """The parity sign rule for theta: 0 for even k, else sgn(Im((r1 + 3*sqrt(3)*r2*i)^k)).
-
-    The odd-k sign is computed exactly: r1 + 3*sqrt(3)*r2*i = 2*((r1+3*r2)/2 + 3*r2*w)
-    has integer Eisenstein coordinates because r1 and r2 share parity.
-    """
-    if k % 2 == 0:
-        return 0
-    if (r1 - r2) % 2 != 0:
-        raise IntegrityError(f"r1 = {r1}, r2 = {r2} have opposite parity")
-    return (EisensteinInt((r1 + 3 * r2) // 2, 3 * r2) ** k).imag_sign()
-
-
 def delta(data: CubicData, cls: CubicClass) -> int:
     """Sign factor for a non-cubic target class: -theta for C1, +theta for C2.
 
@@ -102,11 +89,10 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
     One closed-form route per case gives M = G^3/q, and (c, d) and theta
     are read off M = A + B*w as c = 2A - B, d = |B|/3, theta = sgn(B):
 
-    * p = 1 (mod 3): one Jacobi sum J over F_p, taken with the prime-field
-      generator norm(g) so that class labels, theta and the r2 sign agree,
-      gives M = (-1)^(k-1) * J^k and the r-pair.  J comes from the modified
-      Cornacchia algorithm and the r2 congruence, both on one cube root of
-      unity mod p, in O(log p).
+    * p = 1 (mod 3): one Jacobi sum J over F_p, taken with the cube root of
+      unity t = norm(g)^((p-1)/3) that cube_class reads, so that class labels,
+      theta and the r2 sign agree, gives M = (-1)^(k-1) * J^k and the r-pair,
+      by the modified Cornacchia algorithm and the r2 congruence on t.
     * p = 2 (mod 3): q = 1 (mod 3) forces k = 2m, and Stickelberger's pure
       Gauss sum gives M = (-1)^(m-1) * p^m, so c = 2M, d = 0 and theta = 0;
       F_p has no cubic character, hence no r-pair.
@@ -117,13 +103,13 @@ def cubic_data(field: FieldDescriptor) -> CubicData:
     q, p, k = field.q, field.p, field.k
     _refuse_undefined(q)
     if p % 3 == 1:
-        j_sum = jacobi_sum_cubic(p, field.g.norm())
+        j_sum = jacobi_sum_cubic(p, field._cube_roots[1])
         m = j_sum ** k
         if k % 2 == 0:
             m = -m
         r1, r2 = r_pair(j_sum, p)
         theta = m.imag_sign()
-        theta_paper = theta_sign_rule(k, r1, r2)
+        theta_paper = 0 if k % 2 == 0 else theta  # the parity rule's sgn Im J^k is sgn Im M
     else:
         half = k // 2
         m = EisensteinInt((-1) ** (half - 1) * p ** half, 0)

@@ -9,14 +9,14 @@ This ring carries the cubic Jacobi sum over a prime field F_p (p = 1 mod 3),
 
     J = sum over x in F_p, x not in {0, 1}, of chi(x) * chi(1 - x),
 
-where chi is the cubic residue character sending a chosen generator of F_p*
-to w.  J has norm p, its w-coefficient is divisible by 3, and 2J = r1 +
-3*sqrt(3)*r2*i defines the integer pair (r1, r2) with 4p = r1^2 + 27*r2^2,
-r1 = 1 (mod 3), and the sign of r2 pinned by the congruence
-9*r2 = (2*t + 1)*r1 (mod p) for t = gen^((p-1)/3) mod p.
+where chi, fixed by a cube root of unity t != 1 mod p, is chi(x) = w^i for
+x^((p-1)/3) = t^i (so chi(gen) = w for t = gen^((p-1)/3)).  J has norm p,
+its w-coefficient is divisible by 3, and 2J = r1 + 3*sqrt(3)*r2*i defines the
+integer pair (r1, r2) with 4p = r1^2 + 27*r2^2, r1 = 1 (mod 3), and the sign
+of r2 pinned by the congruence 9*r2 = (2*t + 1)*r1 (mod p).
 
-Production route (:func:`jacobi_sum_cubic`, O(log p)): t is a cube root of
-unity, so 3*(2t + 1) is a square root of -27 mod p, and from it the modified
+Production route (:func:`jacobi_sum_cubic`, O(log p)): t^2 + t + 1 = 0, so
+3*(2t + 1) is a square root of -27 mod p, and from it the modified
 Cornacchia algorithm solves 4p = L^2 + 27*M^2; r1 = +-L is fixed by
 r1 = 1 (mod 3) and r2 = +-M by the congruence on the same t (Gauss's cubic
 theorem), and J = (r1 + 3*r2)/2 + 3*r2*w.  Its witness, the direct O(p)
@@ -30,7 +30,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .ntheory import is_prime, prime_factors
+from .ntheory import is_prime
 
 
 class EisensteinInt(NamedTuple):
@@ -95,14 +95,6 @@ OMEGA2 = EisensteinInt(-1, -1)
 EI_ONE = EisensteinInt(1, 0)
 
 
-def _verify_generator_mod_p(gen: int, p: int) -> None:
-    if gen % p == 0:
-        raise DomainError(f"{gen} is not a unit mod {p}")
-    for ell in prime_factors(p - 1):
-        if pow(gen, (p - 1) // ell, p) == 1:
-            raise DomainError(f"{gen} does not generate the units mod {p}")
-
-
 def _cornacchia(p: int, root: int) -> tuple[int, int] | None:
     """Nonnegative (L, M) with L^2 + 27*M^2 = 4p, or None if there are none:
     the Euclidean algorithm on (2p, root), for root an odd square root of -27
@@ -119,11 +111,11 @@ def _cornacchia(p: int, root: int) -> tuple[int, int] | None:
     return b, m
 
 
-def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
-    """Cubic Jacobi sum over F_p with chi(gen) = w, in O(log p) steps once
-    the generator is checked (which factors p - 1).
+def jacobi_sum_cubic(p: int, t: int) -> EisensteinInt:
+    """Cubic Jacobi sum over F_p with the character fixed by the cube root of
+    unity t (chi(x) = w where x^((p-1)/3) = t), in O(log p) steps.
 
-    t = gen^((p-1)/3) meets t^2 + t + 1 = 0, so the odd one of +-3*(2t + 1)
+    t^2 + t + 1 = 0 (mod p), checked first, so the odd one of +-3*(2t + 1)
     is a square root of -27 mod p, from which :func:`_cornacchia` solves
     4p = L^2 + 27*M^2.  r1 = +-L is the sign with r1 = 1 (mod 3), and r2 = +-M
     the one sign meeting 9*r2 = (2*t + 1)*r1 (mod p).  Then
@@ -134,9 +126,9 @@ def jacobi_sum_cubic(p: int, gen: int) -> EisensteinInt:
         raise DomainError(f"{p} is not prime")
     if p % 3 != 1:
         raise DomainError(f"no cubic character mod {p}: p = {p % 3} (mod 3)")
-    _verify_generator_mod_p(gen, p)
+    if (t * t + t + 1) % p:
+        raise DomainError(f"{t} is not a primitive cube root of unity mod {p}")
 
-    t = pow(gen, (p - 1) // 3, p)
     root = 3 * (2 * t + 1) % p
     solution = _cornacchia(p, root if root % 2 else p - root)
     if solution is None:

@@ -6,10 +6,10 @@ Groups of checks, mirroring how the library is meant to be trusted:
   closed form and brute force;
 * oracle equivalence: closed-form counts equal brute-force convolution counts
   on every supported field, exhaustively in the target for q <= 31;
-* constants integrity: the Diophantine search for (c, d) finds the pair
-  read off the exact Gauss cube on every supported field, and a scan of all
-  primes p = 1 (mod 3) up to 10^4 requires the Cornacchia and direct Jacobi
-  sums to be equal;
+* constants integrity: on every supported field the Diophantine search finds
+  the (c, d), and for odd k the parity rule the theta, read off the exact
+  Gauss cube; a scan of all primes p = 1 (mod 3) up to 10^4 requires the
+  Cornacchia and direct Jacobi sums to be equal;
 * numeric identities: the oracle's exact character sums in Z[w][zeta_p]
   satisfy the analytic identities as integer equalities;
 * mod-4 sign rule: the classical criterion for 2 non-cubic agrees with the
@@ -22,9 +22,9 @@ Groups of checks, mirroring how the library is meant to be trusted:
 
 The witnesses that only these checks run live here, each next to its check,
 so the modules a count loads hold one route per quantity:
-:func:`twisted3_closed` (worked example, mod-4 rule), :func:`cd_search` and
-:func:`jacobi_sum_direct` (constants integrity), and :func:`signed_d_mod4`,
-the Chowla-Cowles-Cowles mod-4 rule.
+:func:`twisted3_closed` (worked example, mod-4 rule), :func:`cd_search`,
+:func:`theta_sign_rule` and :func:`jacobi_sum_direct` (constants integrity),
+and :func:`signed_d_mod4`, the Chowla-Cowles-Cowles mod-4 rule.
 
 `full_report` returns a JSON-serializable report; any check with status
 "fail" marks the suite failed, "warn" entries are informational.  It runs the
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from . import counting, oracle
 from .constants import CubicData, cubic_data, delta
-from .eisenstein import EI_ONE, OMEGA, OMEGA2, EisensteinInt, _verify_generator_mod_p, jacobi_sum_cubic, r_pair
+from .eisenstein import EI_ONE, OMEGA, OMEGA2, EisensteinInt, jacobi_sum_cubic, r_pair
 from .errors import DomainError, IntegrityError, ResourceError
 from .fields import NONCUBIC_CLASSES, NONZERO_CLASSES, CubicClass, FieldDescriptor, make_field
 from .ntheory import is_prime, prime_factors, primes_up_to
@@ -240,8 +240,30 @@ def cd_search(q: int, p: int) -> tuple[int, int]:
     return survivors[0]
 
 
+def theta_sign_rule(k: int, r1: int, r2: int) -> int:
+    """The parity sign rule for theta: 0 for even k, else sgn(Im((r1 + 3*sqrt(3)*r2*i)^k)).
+
+    Exact, as r1 + 3*sqrt(3)*r2*i = 2*((r1+3*r2)/2 + 3*r2*w) = 2J has integer
+    Eisenstein coordinates (r1 and r2 share parity); for odd k it witnesses
+    that ``cubic_data``'s theta, sgn Im J^k, is the published rule.
+    """
+    if k % 2 == 0:
+        return 0
+    if (r1 - r2) % 2 != 0:
+        raise IntegrityError(f"r1 = {r1}, r2 = {r2} have opposite parity")
+    return (EisensteinInt((r1 + 3 * r2) // 2, 3 * r2) ** k).imag_sign()
+
+
 #: Largest p for the direct Jacobi sum, whose table of cubes has p entries.
 _MAX_JACOBI_P = 10**7
+
+
+def _verify_generator_mod_p(gen: int, p: int) -> None:
+    if gen % p == 0:
+        raise DomainError(f"{gen} is not a unit mod {p}")
+    for ell in prime_factors(p - 1):
+        if pow(gen, (p - 1) // ell, p) == 1:
+            raise DomainError(f"{gen} does not generate the units mod {p}")
 
 
 def jacobi_sum_direct(p: int, gen: int) -> EisensteinInt:
@@ -350,8 +372,8 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
         )
         if p % 3 == 1:
             ok = ok and 4 * p == data.r1 ** 2 + 27 * data.r2 ** 2 and data.r1 % 3 == 1
-        if k % 2 == 1:
-            ok = ok and data.theta == data.theta_paper
+        if p % 3 == 1 and k % 2 == 1:
+            ok = ok and data.theta == theta_sign_rule(k, data.r1, data.r2)
         checks.append(_check(f"constants/q={q}", ok, "all invariants hold" if ok else "violation", "invariants"))
 
     scanned = 0
@@ -360,12 +382,12 @@ def check_constants_integrity(jacobi_bound: int = JACOBI_SCAN_BOUND) -> list[Che
         if p % 3 != 1:
             continue
         gen = _least_primitive_root(p)
+        t = pow(gen, (p - 1) // 3, p)
         j_sum = _jacobi_sum_direct(p, gen)  # p is sieved, gen proved; asserts norm and divisibility
-        j_fast = jacobi_sum_cubic(p, gen)
+        j_fast = jacobi_sum_cubic(p, t)
         if j_fast != j_sum:
             failures.append((p, f"Cornacchia route gives {j_fast}, direct sum gives {j_sum}"))
         r1, r2 = r_pair(j_sum, p)
-        t = pow(gen, (p - 1) // 3, p)
         if (9 * r2 - (2 * t + 1) * r1) % p != 0:
             failures.append((p, "congruence"))
         # the congruence must reject the flipped sign whenever r2 != 0
@@ -418,7 +440,7 @@ def check_numeric_identities() -> list[Check]:
             "orthogonality": ("sum over a of psi(a*x) = q*[x = 0] for every x", orthogonality),
         }
         if k == 1:
-            j_sum = jacobi_sum_cubic(p, field.g.norm())
+            j_sum = jacobi_sum_cubic(p, field._cube_roots[1])
             identities["jacobi-numeric"] = ("G^2 = J * G-bar", g_squared == g_conj * j_sum)
         for name, (identity, ok) in identities.items():
             checks.append(_check(f"numeric/{name}/q={q}", ok, "holds" if ok else "fails", identity))

@@ -1,3 +1,4 @@
+import sys
 from math import gcd
 
 import pytest
@@ -14,8 +15,9 @@ from diagcubic import (
 )
 from diagcubic import constants as constants_module
 from diagcubic import verify as verify_module
-from diagcubic.constants import delta, theta_sign_rule
-from diagcubic.verify import SUPPORTED_FIELDS, cd_search
+from diagcubic.constants import delta
+from diagcubic.fields import FieldElement
+from diagcubic.verify import SUPPORTED_FIELDS, cd_search, theta_sign_rule
 
 # independently enumerated representations 4q = c^2 + 27 d^2 (see cd_search
 # contract for the side conditions pinning the signs)
@@ -87,6 +89,28 @@ class TestThetaSignRule:
     def test_parity_violation(self):
         with pytest.raises(IntegrityError):
             theta_sign_rule(1, 2, 1)
+
+    def test_theta_paper_is_the_rule_on_every_field_below_1e5(self):
+        # cubic_data reads theta_paper off M = J^k rather than evaluating the
+        # rule: the two must agree on every field make_field builds with
+        # q <= 10^5 and q = 1 (mod 3); p = 2 (mod 3) forces even k
+        from diagcubic.ntheory import primes_up_to
+
+        bound = 10 ** 5
+        odd = even = 0
+        for p in primes_up_to(bound):
+            q, k = p, 1
+            while q <= bound:
+                if q % 3 == 1:
+                    data = cubic_data(make_field(p, k))
+                    if k % 2 == 1:
+                        assert data.theta_paper == theta_sign_rule(k, data.r1, data.r2) == data.theta, q
+                        odd += 1
+                    else:
+                        assert data.theta_paper == 0, q
+                        even += 1
+                q, k = q * p, k + 1
+        assert (odd, even) == (4791, 77)  # 4868 fields, as in test_exact_path_matches_search_widely
 
 
 class TestDelta:
@@ -180,25 +204,35 @@ class TestCubicData:
 
 
 class TestOneComputationPerCall:
-    @pytest.mark.parametrize("p, k", [(31, 1), (7, 2), (13, 4), (2, 2), (2, 6)])
+    @pytest.mark.parametrize("p, k", [(31, 1), (7, 2), (13, 4), (2, 2), (2, 6), (19, 3), (1_000_000_000_039, 1)])
     def test_cubic_data_computes_each_route_once(self, monkeypatch, p, k):
         field = make_field(p, k)
-        calls = {"jacobi_sum_cubic": 0}
+        calls = {"jacobi_sum_cubic": 0, "prime_factors": 0, "norm": 0, "theta_sign_rule": 0}
 
-        def counted(name):
-            original = getattr(constants_module, name)
+        def counted(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(constants_module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counted("jacobi_sum_cubic")
+        counted(constants_module, "jacobi_sum_cubic")
+        # every module that binds prime_factors, so no import path escapes the count
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("diagcubic") and hasattr(module, "prime_factors"):
+                counted(module, "prime_factors")
+        counted(FieldElement, "norm")
+        counted(verify_module, "theta_sign_rule")
         cubic_data(field)
-        assert calls == {"jacobi_sum_cubic": 1 if p % 3 == 1 else 0}
-        # the (c, d) search is a witness only: verify and the tests run it
+        # the field already holds t, so no generator is proved and no norm taken
+        # again; theta_paper is read off M, not re-raised by the parity rule
+        assert calls == {"jacobi_sum_cubic": 1 if p % 3 == 1 else 0, "prime_factors": 0, "norm": 0,
+                         "theta_sign_rule": 0}
+        # the (c, d) search and the parity rule are witnesses only: verify and the tests run them
         assert not hasattr(constants_module, "cd_search")
+        assert not hasattr(constants_module, "theta_sign_rule")
 
 
 class TestGeneratorCoset:

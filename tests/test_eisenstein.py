@@ -73,17 +73,23 @@ class TestRingArithmetic:
 
 class TestJacobiSum:
     def test_known_sums(self):
-        assert jacobi_sum_cubic(7, 3) == EisensteinInt(-1, -3)
-        assert jacobi_sum_cubic(31, 3) == EisensteinInt(5, 6)
-        assert jacobi_sum_cubic(13, 2) == EisensteinInt(-4, -3)
+        # t = gen^((p-1)/3) for the generators 3, 3 and 2
+        assert jacobi_sum_cubic(7, 2) == EisensteinInt(-1, -3)
+        assert jacobi_sum_cubic(31, 25) == EisensteinInt(5, 6)
+        assert jacobi_sum_cubic(13, 3) == EisensteinInt(-4, -3)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             jacobi_sum_cubic(5, 2)  # p = 2 (mod 3)
         with pytest.raises(DomainError):
-            jacobi_sum_cubic(7, 2)  # 2 has order 3 mod 7
-        with pytest.raises(DomainError):
             jacobi_sum_cubic(9, 2)
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_bad_cube_root_refused(self, t):
+        # t^2 + t + 1 is 1, 3 and 7 mod 31, never 0; t = 1 is a cube root of unity, but not a primitive one
+        with pytest.raises(DomainError) as refused:
+            jacobi_sum_cubic(31, t)
+        assert str(refused.value) == f"{t} is not a primitive cube root of unity mod 31"
 
     def test_invariants_scan(self):
         # every prime p = 1 (mod 3) below 1000; the acceptance suite goes to 10^4
@@ -91,7 +97,8 @@ class TestJacobiSum:
             if p % 3 != 1:
                 continue
             gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
-            j = jacobi_sum_cubic(p, gen)
+            t = _cube_root_of_unity(p, gen)
+            j = jacobi_sum_cubic(p, t)
             assert j.norm() == p
             assert j.b % 3 == 0
             r1, r2 = r_pair(j, p)
@@ -99,7 +106,6 @@ class TestJacobiSum:
             assert r1 % 3 == 1
             assert (r1 - r2) % 2 == 0
             # the defining congruence holds and rejects the flipped sign
-            t = pow(gen, (p - 1) // 3, p)
             assert (9 * r2 - (2 * t + 1) * r1) % p == 0
             assert r2 != 0  # 4p = r1^2 would force p square
             assert (9 * -r2 - (2 * t + 1) * r1) % p != 0
@@ -109,6 +115,11 @@ def _is_primitive_root(g, p):
     from diagcubic.ntheory import prime_factors
 
     return all(pow(g, (p - 1) // ell, p) != 1 for ell in prime_factors(p - 1))
+
+
+def _cube_root_of_unity(p, gen):
+    """t = gen^((p-1)/3), which fixes the character with chi(gen) = w."""
+    return pow(gen, (p - 1) // 3, p)
 
 
 class TestRPair:
@@ -129,16 +140,16 @@ class TestCornacchiaRoute:
 
     def test_equals_direct_sum_and_conjugates_under_other_coset(self):
         # every prime p = 1 (mod 3) below 2 * 10^4 with its least primitive
-        # root g, and with g^e, e = 2 (mod 3), which sends chi to chi^2
+        # root g and t = g^((p-1)/3), and with t^2, which sends chi to chi^2
         scanned = 0
         for p in primes_up_to(20_000):
             if p % 3 != 1:
                 continue
             gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
-            e = next(e for e in range(2, p, 3) if gcd(e, p - 1) == 1)
+            t = _cube_root_of_unity(p, gen)
             direct = jacobi_sum_direct(p, gen)
-            assert jacobi_sum_cubic(p, gen) == direct, p
-            assert jacobi_sum_cubic(p, pow(gen, e, p)) == direct.conjugate(), p
+            assert jacobi_sum_cubic(p, t) == direct, p
+            assert jacobi_sum_cubic(p, t * t % p) == direct.conjugate(), p
             scanned += 1
         assert scanned == 1124
 
@@ -155,7 +166,7 @@ class TestCornacchiaRoute:
                      for x in [isqrt(4 * p - 27 * y * y)] if x * x + 27 * y * y == 4 * p]
             if p % 3 == 1:
                 gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
-                r1, r2 = r_pair(jacobi_sum_cubic(p, gen), p)
+                r1, r2 = r_pair(jacobi_sum_cubic(p, _cube_root_of_unity(p, gen)), p)
                 assert brute == [(abs(r1), abs(r2))], p
             else:
                 assert brute == [], p
@@ -163,7 +174,7 @@ class TestCornacchiaRoute:
                     jacobi_sum_cubic(p, 2)
 
     def test_large_prime(self):
-        j = jacobi_sum_cubic(1_000_000_000_039, 3)
+        j = jacobi_sum_cubic(1_000_000_000_039, _cube_root_of_unity(1_000_000_000_039, 3))
         assert j == EisensteinInt(-730210, -1139763)
         assert r_pair(j, 1_000_000_000_039) == (-320657, -379921)
 
@@ -176,15 +187,15 @@ class TestCornacchiaRoute:
     ])
     def test_large_prime_r_pairs(self, p, gen, pair):
         # recorded while the root of -27 was found by Tonelli-Shanks; test_large_prime pins p = 10^12 + 39
-        assert r_pair(jacobi_sum_cubic(p, gen), p) == pair
+        assert r_pair(jacobi_sum_cubic(p, _cube_root_of_unity(p, gen)), p) == pair
 
     def test_domain_errors_at_large_p(self):
         with pytest.raises(DomainError):
             jacobi_sum_cubic(1_000_000_000_037, 2)  # composite
         with pytest.raises(DomainError):
             jacobi_sum_cubic(1_000_000_000_061, 2)  # p = 2 (mod 3)
-        with pytest.raises(DomainError):
-            jacobi_sum_cubic(1_000_000_000_039, 4)  # a square is no generator
+        with pytest.raises(DomainError, match=r"^4 is not a primitive cube root of unity mod 1000000000039$"):
+            jacobi_sum_cubic(1_000_000_000_039, 4)
 
     def test_direct_sum_refuses_large_p(self):
         with pytest.raises(ResourceError):
@@ -194,19 +205,19 @@ class TestCornacchiaRoute:
 
     @pytest.mark.parametrize("solution", [None, (4, 4), (5, 1), (4, 33)])
     def test_integrity_errors(self, monkeypatch, solution):
-        # p = 31, g = 3: the true solution is (4, 2) with r2 = +2; (4, 4) and
-        # (5, 1) meet the congruence with neither sign, (4, 33) meets it but
-        # not the norm
-        assert jacobi_sum_cubic(31, 3) == EisensteinInt(5, 6)
+        # p = 31, t = 25 = 3^10: the true solution is (4, 2) with r2 = +2;
+        # (4, 4) and (5, 1) meet the congruence with neither sign, (4, 33)
+        # meets it but not the norm
+        assert jacobi_sum_cubic(31, 25) == EisensteinInt(5, 6)
         monkeypatch.setattr(eisenstein, "_cornacchia", lambda p, root: solution)
         with pytest.raises(IntegrityError):
-            jacobi_sum_cubic(31, 3)
+            jacobi_sum_cubic(31, 25)
 
     def test_jacobi_scan_names_both_routes_on_disagreement(self, monkeypatch):
         real = verify.jacobi_sum_cubic
 
-        def conjugated_at_31(p, gen):
-            j = real(p, gen)
+        def conjugated_at_31(p, t):
+            j = real(p, t)
             return j.conjugate() if p == 31 else j
 
         monkeypatch.setattr(verify, "jacobi_sum_cubic", conjugated_at_31)
@@ -330,7 +341,7 @@ class TestHalfWalk:
     def test_near_the_cap(self):
         p = 9_999_991
         gen = next(g for g in range(2, p) if _is_primitive_root(g, p))
-        assert jacobi_sum_direct(p, gen) == jacobi_sum_cubic(p, gen)
+        assert jacobi_sum_direct(p, gen) == jacobi_sum_cubic(p, _cube_root_of_unity(p, gen))
 
 
 def _jacobi_sum_bytes(p, gen):

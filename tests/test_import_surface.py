@@ -81,13 +81,13 @@ PUBLIC_NAMES = {
     "parse_element": "diagcubic.fields",
     "r_pair": "diagcubic.eisenstein",
     "signed_d_mod4": "diagcubic.verify",
-    "theta_sign_rule": "diagcubic.constants",
+    "theta_sign_rule": "diagcubic.verify",
     "twisted3_closed": "diagcubic.verify",
 }
 
 #: The witnesses that run only in verify and the tests, and the deleted view
 #: theta_exact: none of them is defined in a module a count loads.
-WITNESS_NAMES = ("cd_search", "jacobi_sum_direct", "twisted3_closed", "signed_d_mod4", "theta_exact")
+WITNESS_NAMES = ("cd_search", "jacobi_sum_direct", "twisted3_closed", "signed_d_mod4", "theta_exact", "theta_sign_rule")
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))

@@ -185,7 +185,7 @@ class TestJacobiNumeric:
     @pytest.mark.parametrize("p", [7, 13, 31])
     def test_matches_exact(self, p):
         field = make_field(p)
-        j_sum = jacobi_sum_cubic(p, int(field.g))
+        j_sum = jacobi_sum_cubic(p, pow(int(field.g), (p - 1) // 3, p))
         g_sum, g_conj = gauss_sum(field), gauss_sum(field, 2)
         assert g_sum * g_sum == g_conj * j_sum
         assert g_sum * g_sum != g_conj * j_sum.conjugate()
@@ -197,13 +197,13 @@ class TestJacobiNumeric:
         # G^2 * conj(G-bar) = q * J, and |G^2 * conj(G-bar)|^2 = q^3 gives |J|^2 = q
         g_sum, g_conj = gauss_sum(f13), gauss_sum(f13, 2)
         q_j = g_sum * g_sum * g_conj.conjugate()
-        assert q_j == jacobi_sum_cubic(13, int(f13.g)) * 13
+        assert q_j == jacobi_sum_cubic(13, pow(int(f13.g), 4, 13)) * 13
         assert q_j * q_j.conjugate() == 13 ** 3
 
     def test_extension_field_rejected(self, f49):
         # over F_49 the Jacobi sum is -J_7^2 (Hasse-Davenport), not the prime-field
         # J_7 that jacobi_sum_cubic gives, so verify makes this check on prime fields only
-        j7 = jacobi_sum_cubic(7, f49.g.norm())
+        j7 = jacobi_sum_cubic(7, pow(f49.g.norm(), 2, 7))
         g_sum, g_conj = gauss_sum(f49), gauss_sum(f49, 2)
         assert g_sum * g_sum != g_conj * j7
         assert g_sum * g_sum == g_conj * -(j7 * j7)
